@@ -45,8 +45,7 @@ class MetricsSink(Protocol):
 
         Histograms answer quantile questions (p50/p90/p99/max) that
         streaming moments cannot; latency-shaped sites report here.
-        ``count > 1`` records the value ``count`` times in one call,
-        so a batched hop costs one observation, not one per element.
+        ``count > 1`` records the value ``count`` times in one call.
         """
         ...
 

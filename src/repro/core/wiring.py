@@ -44,9 +44,8 @@ same virtual-time behaviour); only per-crossing host work changes.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
-from .codegen import compile_fused, fuse_steps
 from .errors import ConfigurationError
 from .instrument import acting_as
 from .interface import InterfaceCall
@@ -65,21 +64,6 @@ TIER_OFF = "off"
 
 #: All instrumentation tiers, most to least observable.
 TIERS = (TIER_FULL, TIER_METRICS, TIER_OFF)
-
-
-def _scalar_loop(sink: Callable[..., None]) -> Callable[..., None]:
-    """Adapt a scalar endpoint/hop into the batch calling convention."""
-    def loop(
-        sdus: Sequence[Any],
-        metas: Sequence[dict] | None = None,
-    ) -> None:
-        if metas is None:
-            for sdu in sdus:
-                sink(sdu)
-        else:
-            for sdu, meta in zip(sdus, metas):
-                sink(sdu, **meta)
-    return loop
 
 
 def validate_tier(tier: str) -> str:
@@ -200,12 +184,6 @@ class WiringPlan:
         self.compilations = 0
         self.app_send: Callable[..., None] = self._uncompiled
         self.wire_receive: Callable[..., None] = self._uncompiled
-        self.app_send_batch: Callable[..., None] = self._uncompiled
-        self.wire_receive_batch: Callable[..., None] = self._uncompiled
-        #: Which directions currently run the fused codegen fast path.
-        self.fused: dict[str, bool] = {"down": False, "up": False}
-        #: Generated source per fused direction (debugging/tests).
-        self.codegen_source: dict[str, str | None] = {"down": None, "up": None}
 
     def _uncompiled(self, *args: Any, **kwargs: Any) -> None:
         raise ConfigurationError(
@@ -228,31 +206,15 @@ class WiringPlan:
                     "down", "send", sublayer.name, below.name,
                     below.from_above, acting=below.name,
                 )
-                sublayer._send_down_batch = self._batch_hop(
-                    "down", sublayer.name, sublayer._send_down,
-                    below.from_above_batch,
-                )
             else:
                 sublayer._send_down = self._wire_hop(sublayer.name)
-                sublayer._send_down_batch = self._batch_hop(
-                    "down", sublayer.name, sublayer._send_down,
-                    self._transmit_batch_target(),
-                )
             if above is not None:
                 sublayer._deliver_up = self._hop(
                     "up", "deliver", sublayer.name, above.name,
                     above.from_below, acting=above.name,
                 )
-                sublayer._deliver_up_batch = self._batch_hop(
-                    "up", sublayer.name, sublayer._deliver_up,
-                    above.from_below_batch,
-                )
             else:
                 sublayer._deliver_up = self._app_hop(sublayer.name)
-                sublayer._deliver_up_batch = self._batch_hop(
-                    "up", sublayer.name, sublayer._deliver_up,
-                    self._deliver_batch_target(),
-                )
         top, bottom = sublayers[0], sublayers[-1]
         self.app_send = self._hop(
             "down", "send", APP, top.name, top.from_above, acting=top.name
@@ -261,22 +223,13 @@ class WiringPlan:
             "up", "deliver", WIRE, bottom.name, bottom.from_below,
             acting=bottom.name,
         )
-        self.app_send_batch = self._batch_hop(
-            "down", APP, self.app_send, top.from_above_batch,
-        )
-        self.wire_receive_batch = self._batch_hop(
-            "up", WIRE, self.wire_receive, bottom.from_below_batch,
-        )
-        self.fused = {"down": False, "up": False}
-        self.codegen_source = {"down": None, "up": None}
-        self._maybe_fuse()
         self.compilations += 1
 
     # ------------------------------------------------------------------
     # Endpoint hops
     # ------------------------------------------------------------------
-    def _transmit_sink(self) -> Callable[..., None]:
-        """The scalar wire endpoint: ``on_transmit`` or a raising stub."""
+    def _wire_hop(self, caller: str) -> Callable[..., None]:
+        """The bottom sublayer's send_down, bound to ``on_transmit``."""
         stack = self.stack
         sink = stack.on_transmit
         if sink is None:
@@ -284,10 +237,10 @@ class WiringPlan:
                 raise ConfigurationError(
                     f"stack {stack.name!r} has no on_transmit sink"
                 )
-        return sink
+        return self._hop("down", "send", caller, WIRE, sink, acting=None)
 
-    def _deliver_sink(self) -> Callable[..., None]:
-        """The scalar app endpoint: ``on_deliver``, lossy drop, or raise."""
+    def _app_hop(self, caller: str) -> Callable[..., None]:
+        """The top sublayer's deliver_up, bound to ``on_deliver``."""
         stack = self.stack
         sink = stack.on_deliver
         if sink is None:
@@ -306,155 +259,7 @@ class WiringPlan:
                         "(set one, or construct the stack with "
                         "lossy_delivery=True to drop and count instead)"
                     )
-        return sink
-
-    def _wire_hop(self, caller: str) -> Callable[..., None]:
-        """The bottom sublayer's send_down, bound to ``on_transmit``."""
-        return self._hop(
-            "down", "send", caller, WIRE, self._transmit_sink(), acting=None
-        )
-
-    def _app_hop(self, caller: str) -> Callable[..., None]:
-        """The top sublayer's deliver_up, bound to ``on_deliver``."""
-        return self._hop(
-            "up", "deliver", caller, APP, self._deliver_sink(), acting=None
-        )
-
-    def _transmit_batch_target(self) -> Callable[..., None]:
-        """The batch wire endpoint: ``on_transmit_batch`` or a scalar loop."""
-        batch_sink = getattr(self.stack, "on_transmit_batch", None)
-        if batch_sink is not None:
-            return batch_sink
-        return _scalar_loop(self._transmit_sink())
-
-    def _deliver_batch_target(self) -> Callable[..., None]:
-        """The batch app endpoint: ``on_deliver_batch``, lossy, or loop."""
-        stack = self.stack
-        batch_sink = getattr(stack, "on_deliver_batch", None)
-        if batch_sink is not None:
-            return batch_sink
-        if stack.on_deliver is None and stack.lossy_delivery:
-            counters = self.counters
-            metrics = stack.metrics
-            metric_name = f"{stack.name}/dropped_deliveries"
-
-            def drop_batch(
-                sdus: Sequence[Any],
-                metas: Sequence[dict] | None = None,
-            ) -> None:
-                n = len(sdus)
-                counters.dropped_deliveries += n
-                if metrics is not None:
-                    metrics.inc(metric_name, n)
-            return drop_batch
-        return _scalar_loop(self._deliver_sink())
-
-    # ------------------------------------------------------------------
-    # The batch hop compiler
-    # ------------------------------------------------------------------
-    def _batch_hop(
-        self,
-        direction: str,
-        caller: str,
-        scalar_hop: Callable[..., None],
-        batch_target: Callable[..., None],
-    ) -> Callable[..., None]:
-        """One compiled batch crossing (``hop(sdus, metas=None)``).
-
-        At the full tier, or whenever any per-element observer is
-        attached (taps, span hook), the batch decays to a loop over the
-        already-compiled scalar hop so the books stay byte-identical
-        with scalar traffic.  At the metrics tier the crossing counter
-        bumps once by ``len(sdus)`` and the endpoint latency clock pays
-        one ``perf_counter`` pair for the whole batch (observed as
-        ``len(sdus)`` samples of the per-unit mean).  At ``off`` the
-        batch hop *is* the neighbour's ``from_*_batch``.
-        """
-        stack = self.stack
-        if self.tier == TIER_FULL or stack.span_hook is not None or stack.taps:
-            return _scalar_loop(scalar_hop)
-        if self.tier == TIER_METRICS:
-            counters = self.counters
-            call = batch_target
-            if caller in (APP, WIRE):
-                latency = getattr(stack, "hop_latency", None)
-                if latency is not None:
-                    observe = latency.observe
-                    timed = batch_target
-
-                    def call(
-                        sdus: Sequence[Any],
-                        metas: Sequence[dict] | None = None,
-                    ) -> None:
-                        n = len(sdus)
-                        if not n:
-                            return
-                        start = perf_counter()
-                        timed(sdus, metas)
-                        observe((perf_counter() - start) / n, n)
-            if direction == "down":
-                def hop(
-                    sdus: Sequence[Any],
-                    metas: Sequence[dict] | None = None,
-                ) -> None:
-                    counters.down += len(sdus)
-                    call(sdus, metas)
-            else:
-                def hop(
-                    sdus: Sequence[Any],
-                    metas: Sequence[dict] | None = None,
-                ) -> None:
-                    counters.up += len(sdus)
-                    call(sdus, metas)
-            return hop
-        # TIER_OFF, nothing watching: the crossing is the target.
-        return batch_target
-
-    # ------------------------------------------------------------------
-    # Codegen fusion
-    # ------------------------------------------------------------------
-    def _maybe_fuse(self) -> None:
-        """Swap the plan's entry points for fused codegen fast paths.
-
-        Attempted only at ``tier=off`` with no taps and no span hook
-        and with ``Stack.codegen_enabled`` — fusion is all-or-nothing
-        per direction (any sublayer opting out keeps that direction on
-        the chain walk).  Only the plan-level entry points
-        (``app_send``/``wire_receive`` and their batch forms) are
-        swapped; the per-sublayer chain hops stay compiled and wired,
-        so mid-stack callers (ARQ timers, notifications) are untouched.
-        """
-        stack = self.stack
-        if (
-            self.tier != TIER_OFF
-            or stack.span_hook is not None
-            or stack.taps
-            or not getattr(stack, "codegen_enabled", True)
-        ):
-            return
-        sublayers = stack.sublayers
-        down_steps = fuse_steps(sublayers, "down")
-        if down_steps is not None:
-            fused = compile_fused(
-                down_steps, "down", stack.name,
-                self._transmit_sink(),
-                getattr(stack, "on_transmit_batch", None),
-            )
-            self.app_send = fused.scalar
-            self.app_send_batch = fused.batch
-            self.fused["down"] = True
-            self.codegen_source["down"] = fused.source
-        up_steps = fuse_steps(sublayers, "up")
-        if up_steps is not None:
-            fused = compile_fused(
-                up_steps, "up", stack.name,
-                self._deliver_sink(),
-                getattr(stack, "on_deliver_batch", None),
-            )
-            self.wire_receive = fused.scalar
-            self.wire_receive_batch = fused.batch
-            self.fused["up"] = True
-            self.codegen_source["up"] = fused.source
+        return self._hop("up", "deliver", caller, APP, sink, acting=None)
 
     # ------------------------------------------------------------------
     # The hop compiler

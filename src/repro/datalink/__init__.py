@@ -10,7 +10,6 @@ from .arq import (
     ARQ_HEADER,
     ARQ_SCHEMES,
     GoBackNArq,
-    NullArq,
     SelectiveRepeatArq,
     StopAndWaitArq,
 )
@@ -29,7 +28,6 @@ from .stacks import (
     collect_bytes,
     connect_hdlc_pair,
     send_bytes,
-    send_bytes_batch,
 )
 
 __all__ = [
@@ -49,7 +47,6 @@ __all__ = [
     "DetectionCode",
     "ErrorDetectSublayer",
     "GoBackNArq",
-    "NullArq",
     "InternetChecksum",
     "MAC_HEADER",
     "MAC_SCHEMES",
@@ -62,5 +59,4 @@ __all__ = [
     "collect_bytes",
     "connect_hdlc_pair",
     "send_bytes",
-    "send_bytes_batch",
 ]

@@ -20,13 +20,13 @@ windows kept well under half the sequence space.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any
 
 from ..core.bits import Bits
 from ..core.clock import TimerHandle
 from ..core.errors import ConfigurationError, FramingError
 from ..core.header import Field, HeaderFormat
-from ..core.sublayer import PassthroughSublayer, Sublayer
+from ..core.sublayer import Sublayer
 
 ARQ_HEADER = HeaderFormat(
     "arq",
@@ -140,77 +140,6 @@ class ArqSublayerBase(Sublayer):
             self._on_ack(header["ack"])
         else:
             self._on_data(header["seq"], payload)
-
-    # ------------------------------------------------------------------
-    # Batch processing: coalesced window runs
-    # ------------------------------------------------------------------
-    def _coalesced(self, run: Callable[[], None]) -> None:
-        """Run ``run()`` with the data-path hops buffered, flush once.
-
-        ARQ windows are inherently stateful (sequence numbers, timers,
-        Karn bookkeeping), so the batch path reuses the *scalar* window
-        logic verbatim: ``run`` executes the per-unit loop while
-        ``send_down``/``deliver_up`` are temporarily rebound to
-        buffering closures, and everything the window emitted then
-        crosses the neighbouring boundary in one batch hop.  Every
-        state transition, counter, rng draw, and timer arm happens in
-        exactly the scalar order — only the hop crossings coalesce.
-        """
-        down_units: list[Any] = []
-        down_metas: list[dict] = []
-        up_units: list[Any] = []
-        up_metas: list[dict] = []
-
-        def buffer_down(sdu: Any, **meta: Any) -> None:
-            down_units.append(sdu)
-            down_metas.append(meta)
-
-        def buffer_up(sdu: Any, **meta: Any) -> None:
-            up_units.append(sdu)
-            up_metas.append(meta)
-
-        real_send, real_deliver = self._send_down, self._deliver_up
-        self._send_down = buffer_down
-        self._deliver_up = buffer_up
-        try:
-            run()
-        finally:
-            self._send_down = real_send
-            self._deliver_up = real_deliver
-        if up_units:
-            self.deliver_up_batch(
-                up_units, up_metas if any(up_metas) else None
-            )
-        if down_units:
-            self.send_down_batch(
-                down_units, down_metas if any(down_metas) else None
-            )
-
-    def from_above_batch(
-        self, sdus: Sequence[Any], metas: Sequence[dict] | None = None
-    ) -> None:
-        """Window-process the whole batch; transmissions leave together."""
-        def run() -> None:
-            if metas is None:
-                for sdu in sdus:
-                    self.from_above(sdu)
-            else:
-                for sdu, meta in zip(sdus, metas):
-                    self.from_above(sdu, **meta)
-        self._coalesced(run)
-
-    def from_below_batch(
-        self, pdus: Sequence[Any], metas: Sequence[dict] | None = None
-    ) -> None:
-        """Receive the whole batch; deliveries and acks leave together."""
-        def run() -> None:
-            if metas is None:
-                for pdu in pdus:
-                    self.from_below(pdu)
-            else:
-                for pdu, meta in zip(pdus, metas):
-                    self.from_below(pdu, **meta)
-        self._coalesced(run)
 
     # Scheme-specific hooks -------------------------------------------
     def from_above(self, sdu: Any, **meta: Any) -> None:
@@ -521,18 +450,6 @@ class SelectiveRepeatArq(ArqSublayerBase):
             expected += 1
         self.state.rcv_expected = expected
         self.state.rcv_buffer = buffer
-
-
-class NullArq(PassthroughSublayer):
-    """The recovery slot with recovery removed: pure pass-through.
-
-    The degenerate end of the ARQ family — no header, no window, no
-    timers — for links that are already reliable.  Because it is a
-    plain pass-through it also keeps the whole hdlc stack eligible for
-    the tier=off codegen fast path (every remaining sublayer provides
-    fuse steps), which makes it the replacement the differential rig
-    and C11 use to exercise full-stack fusion.
-    """
 
 
 #: Registry for the F2 swap benchmark.

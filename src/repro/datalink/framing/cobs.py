@@ -18,10 +18,9 @@ sublayer noticing.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 from ...core.bits import Bits
-from ...core.codegen import DROP
 from ...core.errors import FramingError
 from ...core.sublayer import Sublayer
 
@@ -104,83 +103,20 @@ class CobsFramingSublayer(Sublayer):
         self.send_down(Bits.from_bytes(encoded), **meta)
 
     def from_below(self, framed: Any, **meta: Any) -> None:
-        body = self._decode(framed)
-        if body is None:
-            return
-        self.deliver_up(body, **meta)
-
-    # -------------------------------------------------------- batch
-    def from_above_batch(
-        self, sdus: Sequence[Any], metas: Sequence[dict] | None = None
-    ) -> None:
-        """Frame the whole batch, then cross the boundary once."""
-        state = self.state
-        out = []
-        for sdu in sdus:
-            if not isinstance(sdu, Bits):
-                raise FramingError("COBS framing needs Bits")
-            if len(sdu) % 8 != 0:
-                raise FramingError("COBS framing needs byte-aligned frames")
-            state.framed = state.framed + 1
-            out.append(Bits.from_bytes(cobs_encode(sdu.to_bytes()) + b"\x00"))
-        self.send_down_batch(out, metas)
-
-    def from_below_batch(
-        self, pdus: Sequence[Any], metas: Sequence[dict] | None = None
-    ) -> None:
-        """Decode the batch; malformed frames drop, survivors go up together."""
-        state = self.state
-        out = []
-        out_metas: list[dict] | None = [] if metas is not None else None
-        for index, framed in enumerate(pdus):
-            body = self._decode(framed)
-            if body is None:
-                continue
-            out.append(body)
-            if out_metas is not None:
-                out_metas.append(metas[index])
-        if out:
-            self.deliver_up_batch(out, out_metas)
-
-    def _decode(self, framed: Any) -> Bits | None:
-        """One frame's upward transform (``None`` = dropped), counters included."""
         state = self.state
         if not isinstance(framed, Bits) or len(framed) % 8 != 0 or len(framed) == 0:
             state.framing_errors = state.framing_errors + 1
-            return None
+            return
         raw = framed.to_bytes()
         if not raw.endswith(b"\x00"):
             state.framing_errors = state.framing_errors + 1
-            return None
+            return
         try:
             # Slice off the delimiter as a view: decode never copies
             # the frame body.
             body = cobs_decode(memoryview(raw)[:-1])
         except FramingError:
             state.framing_errors = state.framing_errors + 1
-            return None
+            return
         state.recovered = state.recovered + 1
-        return Bits.from_bytes(body)
-
-    # ------------------------------------------------------- codegen
-    def fuse_down(self) -> Any:
-        """Fuse step mirroring :meth:`from_above`."""
-        state = self.state
-
-        def step(sdu: Any, meta: dict) -> Any:
-            if not isinstance(sdu, Bits):
-                raise FramingError("COBS framing needs Bits")
-            if len(sdu) % 8 != 0:
-                raise FramingError("COBS framing needs byte-aligned frames")
-            state.framed = state.framed + 1
-            return Bits.from_bytes(cobs_encode(sdu.to_bytes()) + b"\x00")
-        return step
-
-    def fuse_up(self) -> Any:
-        """Fuse step mirroring :meth:`from_below` (malformed drops)."""
-        decode = self._decode
-
-        def step(framed: Any, meta: dict) -> Any:
-            body = decode(framed)
-            return DROP if body is None else body
-        return step
+        self.deliver_up(Bits.from_bytes(body), **meta)

@@ -21,10 +21,9 @@ change in the stuffing rule").
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 from ...core.bits import Bits
-from ...core.codegen import DROP
 from ...core.errors import ConfigurationError, FramingError
 from ...core.sublayer import Sublayer
 from .flags import FrameAssembler, add_flags, remove_flags
@@ -65,74 +64,6 @@ class StuffingSublayer(Sublayer):
             return
         self.state.unstuffed_frames = self.state.unstuffed_frames + 1
         self.deliver_up(data, **meta)
-
-    # -------------------------------------------------------- batch
-    def from_above_batch(
-        self, sdus: Sequence[Any], metas: Sequence[dict] | None = None
-    ) -> None:
-        """Stuff the whole batch, then cross the boundary once."""
-        rule = self.rule
-        state = self.state
-        out = []
-        for sdu in sdus:
-            if not isinstance(sdu, Bits):
-                raise FramingError(
-                    f"stuffing sublayer needs Bits, got {type(sdu).__name__}"
-                )
-            state.stuffed_frames = state.stuffed_frames + 1
-            out.append(stuff(sdu, rule))
-        self.send_down_batch(out, metas)
-
-    def from_below_batch(
-        self, pdus: Sequence[Any], metas: Sequence[dict] | None = None
-    ) -> None:
-        """Unstuff the batch; aborted frames drop, survivors go up together."""
-        rule = self.rule
-        state = self.state
-        out = []
-        out_metas: list[dict] | None = [] if metas is not None else None
-        for index, body in enumerate(pdus):
-            try:
-                data = unstuff(body, rule)
-            except FramingError:
-                state.unstuff_errors = state.unstuff_errors + 1
-                continue
-            state.unstuffed_frames = state.unstuffed_frames + 1
-            out.append(data)
-            if out_metas is not None:
-                out_metas.append(metas[index])
-        if out:
-            self.deliver_up_batch(out, out_metas)
-
-    # ------------------------------------------------------- codegen
-    def fuse_down(self) -> Any:
-        """Fuse step mirroring :meth:`from_above`."""
-        rule = self.rule
-        state = self.state
-
-        def step(sdu: Any, meta: dict) -> Any:
-            if not isinstance(sdu, Bits):
-                raise FramingError(
-                    f"stuffing sublayer needs Bits, got {type(sdu).__name__}"
-                )
-            state.stuffed_frames = state.stuffed_frames + 1
-            return stuff(sdu, rule)
-        return step
-
-    def fuse_up(self) -> Any:
-        """Fuse step mirroring :meth:`from_below` (abort drops)."""
-        rule = self.rule
-        state = self.state
-
-        def step(body: Any, meta: dict) -> Any:
-            try:
-                data = unstuff(body, rule)
-            except FramingError:
-                state.unstuff_errors = state.unstuff_errors + 1
-                return DROP
-            state.unstuffed_frames = state.unstuffed_frames + 1
-            return data
-        return step
 
 
 class FlagSublayer(Sublayer):
@@ -192,81 +123,3 @@ class FlagSublayer(Sublayer):
             return
         self.state.recovered = self.state.recovered + 1
         self.deliver_up(body, **meta)
-
-    # -------------------------------------------------------- batch
-    def from_above_batch(
-        self, sdus: Sequence[Any], metas: Sequence[dict] | None = None
-    ) -> None:
-        """Delimit the whole batch, then cross the boundary once."""
-        rule = self.rule
-        state = self.state
-        out = []
-        for body in sdus:
-            if not isinstance(body, Bits):
-                raise FramingError(
-                    f"flag sublayer needs Bits, got {type(body).__name__}"
-                )
-            state.framed = state.framed + 1
-            out.append(add_flags(body, rule))
-        self.send_down_batch(out, metas)
-
-    def from_below_batch(
-        self, pdus: Sequence[Any], metas: Sequence[dict] | None = None
-    ) -> None:
-        """Recover bodies for the batch; stream mode stays scalar.
-
-        In stream mode one arriving unit can yield zero or many frames,
-        so the default scalar loop (which preserves that expansion
-        exactly) is the correct batch form.
-        """
-        if self.stream_mode:
-            super().from_below_batch(pdus, metas)
-            return
-        rule = self.rule
-        state = self.state
-        out = []
-        out_metas: list[dict] | None = [] if metas is not None else None
-        for index, framed in enumerate(pdus):
-            try:
-                body = remove_flags(framed, rule)
-            except FramingError:
-                state.framing_errors = state.framing_errors + 1
-                continue
-            state.recovered = state.recovered + 1
-            out.append(body)
-            if out_metas is not None:
-                out_metas.append(metas[index])
-        if out:
-            self.deliver_up_batch(out, out_metas)
-
-    # ------------------------------------------------------- codegen
-    def fuse_down(self) -> Any:
-        """Fuse step mirroring :meth:`from_above`."""
-        rule = self.rule
-        state = self.state
-
-        def step(body: Any, meta: dict) -> Any:
-            if not isinstance(body, Bits):
-                raise FramingError(
-                    f"flag sublayer needs Bits, got {type(body).__name__}"
-                )
-            state.framed = state.framed + 1
-            return add_flags(body, rule)
-        return step
-
-    def fuse_up(self) -> Any:
-        """Fuse step mirroring :meth:`from_below`; stream mode opts out."""
-        if self.stream_mode:
-            return None
-        rule = self.rule
-        state = self.state
-
-        def step(framed: Any, meta: dict) -> Any:
-            try:
-                body = remove_flags(framed, rule)
-            except FramingError:
-                state.framing_errors = state.framing_errors + 1
-                return DROP
-            state.recovered = state.recovered + 1
-            return body
-        return step

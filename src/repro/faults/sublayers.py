@@ -23,10 +23,9 @@ run whose faults never fired proves nothing).
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from ..core.bits import Bits
-from ..core.codegen import IDENTITY
 from ..core.errors import ConfigurationError
 from ..core.sublayer import Sublayer
 from .schedule import FaultSchedule
@@ -131,26 +130,6 @@ class NoOpFault(FaultSublayer):
 
     def from_below(self, pdu: Any, **meta: Any) -> None:
         self.deliver_up(pdu, **meta)
-
-    def from_above_batch(
-        self, sdus: Sequence[Any], metas: Sequence[dict] | None = None
-    ) -> None:
-        """Batches pass through whole — the slot stays transparent."""
-        self.send_down_batch(sdus, metas)
-
-    def from_below_batch(
-        self, pdus: Sequence[Any], metas: Sequence[dict] | None = None
-    ) -> None:
-        """Batches pass through whole — the slot stays transparent."""
-        self.deliver_up_batch(pdus, metas)
-
-    def fuse_down(self) -> Any:
-        """Pure pass-through: eliminated from the fused fast path."""
-        return IDENTITY
-
-    def fuse_up(self) -> Any:
-        """Pure pass-through: eliminated from the fused fast path."""
-        return IDENTITY
 
 
 class DropFault(FaultSublayer):

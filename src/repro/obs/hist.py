@@ -72,9 +72,8 @@ class Histogram:
     def observe(self, value: float, count: int = 1) -> None:
         """Add a sample.  This is the hot path — an append, no math.
 
-        ``count > 1`` records the same value ``count`` times (one call
-        per batch instead of one per element); the single-sample path
-        stays a bare append.
+        ``count > 1`` records the same value ``count`` times in one
+        call; the single-sample path stays a bare append.
         """
         pending = self._pending
         if count == 1:

@@ -61,8 +61,8 @@ class MetricsRegistry:
             hist = self.hists[name] = Histogram()
         # Inlined Histogram.observe: the C12 budget holds this call to
         # ~1.5x a counter inc, and the observe() frame alone busts it.
-        # The scalar branch stays a bare append; batched sites
-        # (count > 1) pay one extend for the whole batch.
+        # The single-sample branch stays a bare append; count > 1
+        # pays one extend.
         pending = hist._pending
         if count == 1:
             pending.append(value)

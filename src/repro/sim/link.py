@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from ..core.bits import Bits
 from ..core.errors import ConfigurationError, SimulationError
@@ -119,22 +119,11 @@ class Link:
         # caller passes; the default null sink keeps the hot path free.
         self.metrics: MetricsSink = scoped(metrics, f"link/{name}")
         self._sink: Callable[..., None] | None = None
-        self._batch_sink: Callable[..., None] | None = None
         self._busy_until = 0.0
 
-    def connect(
-        self,
-        sink: Callable[..., None],
-        batch_sink: Callable[..., None] | None = None,
-    ) -> None:
-        """Set the receive callback: ``sink(unit, **meta)``.
-
-        ``batch_sink(units, metas|None)``, when given, receives grouped
-        same-instant arrivals from :meth:`send_batch` in one call;
-        without it every delivery goes through the scalar ``sink``.
-        """
+    def connect(self, sink: Callable[..., None]) -> None:
+        """Set the receive callback: ``sink(unit, **meta)``."""
         self._sink = sink
-        self._batch_sink = batch_sink
 
     # ------------------------------------------------------------------
     def send(self, unit: Any, size_bits: int | None = None, **meta: Any) -> None:
@@ -186,92 +175,6 @@ class Link:
                 arrival, self._make_delivery(delivered, dict(meta))
             )
 
-    def send_batch(
-        self,
-        units: Sequence[Any],
-        metas: Sequence[dict] | None = None,
-        sizes: Sequence[int] | None = None,
-    ) -> None:
-        """Enqueue an in-order batch for transmission.
-
-        Per-unit semantics — stats, MTU/queue drops, serializer
-        occupancy, ECN, and every rng draw (duplicate, loss, jitter,
-        bit errors) — replay :meth:`send` exactly, in order, so a
-        seeded run is bit-identical whether traffic arrives scalar or
-        batched.  The only difference is event-queue shape: consecutive
-        deliveries landing at the *same instant* are grouped into one
-        simulator event (delivered through the batch sink when one is
-        connected).  Grouping is safe because the simulator breaks
-        timestamp ties FIFO: the grouped deliveries were consecutive
-        events already.
-        """
-        if self._sink is None:
-            raise ConfigurationError(f"link {self.name!r} has no receiver connected")
-        config = self.config
-        stats = self.stats
-        rng = self.rng
-        deliveries: list[tuple[float, Any, dict]] = []
-        for index, unit in enumerate(units):
-            meta = metas[index] if metas is not None else {}
-            size = sizes[index] if sizes is not None else unit_size_bits(unit)
-            stats.sent += 1
-            if config.mtu_bits is not None and size > config.mtu_bits:
-                stats.dropped_mtu += 1
-                continue
-            stats.bits_sent += size
-            start = max(self.sim.now, self._busy_until)
-            if (
-                config.drop_tail_delay is not None
-                and start - self.sim.now > config.drop_tail_delay
-            ):
-                stats.queue_dropped += 1
-                continue
-            tx_time = 0.0 if config.rate_bps is None else size / config.rate_bps
-            self._busy_until = start + tx_time
-            base_arrival = self._busy_until + config.delay
-            if (
-                config.ecn_threshold is not None
-                and start - self.sim.now > config.ecn_threshold
-            ):
-                unit = self._ecn_mark(unit)
-            copies = 1
-            if config.duplicate > 0 and rng.random() < config.duplicate:
-                copies = 2
-                stats.duplicated += 1
-            for _ in range(copies):
-                if config.loss > 0 and rng.random() < config.loss:
-                    stats.lost += 1
-                    continue
-                jitter = (
-                    rng.uniform(0, config.reorder_jitter)
-                    if config.reorder_jitter > 0
-                    else 0.0
-                )
-                deliveries.append(
-                    (base_arrival + jitter, self._apply_bit_errors(unit), dict(meta))
-                )
-        total = len(deliveries)
-        i = 0
-        while i < total:
-            arrival = deliveries[i][0]
-            j = i + 1
-            while j < total and deliveries[j][0] == arrival:
-                j += 1
-            if j - i == 1:
-                self.sim.schedule_at(
-                    arrival, self._make_delivery(deliveries[i][1], deliveries[i][2])
-                )
-            else:
-                group = deliveries[i:j]
-                self.sim.schedule_at(
-                    arrival,
-                    self._make_batch_delivery(
-                        [unit for _, unit, _ in group],
-                        [meta for _, _, meta in group],
-                    ),
-                )
-            i = j
-
     def _ecn_mark(self, unit: Any) -> Any:
         """Set the congestion-experienced bit in an OSR subheader.
 
@@ -302,25 +205,6 @@ class Link:
                 )
             self.stats.delivered += 1
             self._sink(unit, **meta)
-
-        return deliver
-
-    def _make_batch_delivery(
-        self, units: list, metas: list
-    ) -> Callable[[], None]:
-        def deliver() -> None:
-            if self._sink is None:
-                raise SimulationError(
-                    f"link {self.name!r}: delivery fired with no "
-                    f"connected sink"
-                )
-            self.stats.delivered += len(units)
-            if self._batch_sink is not None:
-                self._batch_sink(units, metas)
-            else:
-                sink = self._sink
-                for unit, meta in zip(units, metas):
-                    sink(unit, **meta)
 
         return deliver
 
@@ -391,31 +275,8 @@ class DuplexLink:
         )
 
     def attach(self, a: Any, b: Any) -> None:
-        """Join two Stack-like endpoints (on_transmit / receive).
-
-        Endpoints exposing the batch surface (``on_transmit_batch`` /
-        ``receive_batch``) get it wired too, so a batched send crosses
-        the link — and re-enters the peer stack — as one call.
-        """
+        """Join two Stack-like endpoints (on_transmit / receive)."""
         a.on_transmit = lambda unit, **meta: self.forward.send(unit, **meta)
         b.on_transmit = lambda unit, **meta: self.reverse.send(unit, **meta)
-        if hasattr(a, "on_transmit_batch"):
-            a.on_transmit_batch = lambda units, metas=None: self.forward.send_batch(
-                units, metas
-            )
-        if hasattr(b, "on_transmit_batch"):
-            b.on_transmit_batch = lambda units, metas=None: self.reverse.send_batch(
-                units, metas
-            )
-        b_batch = (
-            (lambda units, metas=None: b.receive_batch(units, metas))
-            if hasattr(b, "receive_batch")
-            else None
-        )
-        a_batch = (
-            (lambda units, metas=None: a.receive_batch(units, metas))
-            if hasattr(a, "receive_batch")
-            else None
-        )
-        self.forward.connect(lambda unit, **meta: b.receive(unit, **meta), b_batch)
-        self.reverse.connect(lambda unit, **meta: a.receive(unit, **meta), a_batch)
+        self.forward.connect(lambda unit, **meta: b.receive(unit, **meta))
+        self.reverse.connect(lambda unit, **meta: a.receive(unit, **meta))

@@ -28,7 +28,6 @@ ALL_RULES: tuple[tuple[str, str], ...] = (
     ("foreign-header-field", "T3"),
     ("undeclared-primitive", "T2"),
     ("interface-width", "T2"),
-    ("batch-parity", "T2"),
 )
 
 #: The symbolic data-plane rules (``--flow``): reachability properties

@@ -2,7 +2,7 @@
 
 ``run_staticcheck`` is the library entry point (the CLI in
 ``__main__`` is a thin wrapper): load the corpus, build the model, run
-the seven AST rules — plus, with ``flow=True``, the two symbolic
+the six AST rules — plus, with ``flow=True``, the two symbolic
 data-plane rules (T4/T5) — and fold the findings into a
 :class:`~repro.staticcheck.report.StaticReport`.
 """
@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Iterable
 
 from ..par.cache import ProofCache
-from .batchparity import check_batch_parity
 from .config import StaticCheckConfig
 from .imports import check_import_cycles, check_layer_order, collect_imports
 from .isolation import check_foreign_header_fields, check_state_reach
@@ -32,7 +31,7 @@ def run_staticcheck(
     flow_specs: Iterable[str | Path] = (),
     flow_cache: ProofCache | None = None,
 ) -> StaticReport:
-    """Run all seven static rules over the package at ``root_dir``.
+    """Run all six static rules over the package at ``root_dir``.
 
     ``flow=True`` (or any ``flow_specs``) also runs the symbolic
     reachability/isolation analysis and reports its findings under the
@@ -49,7 +48,6 @@ def run_staticcheck(
     violations += check_foreign_header_fields(model)
     violations += check_undeclared_primitives(model)
     violations += check_interface_widths(model, config)
-    violations += check_batch_parity(model)
     rules = ALL_RULES
     flow_specs = list(flow_specs)
     if flow or flow_specs:

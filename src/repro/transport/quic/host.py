@@ -131,11 +131,7 @@ class QuicHost:
         self.on_accept: Callable[[QuicConnection], None] | None = None
         self.stream.on_accept = self._accepted
         self.on_transmit: Callable[..., None] | None = None
-        self.on_transmit_batch: Callable[..., None] | None = None
         self.stack.on_transmit = lambda unit, **meta: self._transmit(unit, **meta)
-        self.stack.on_transmit_batch = lambda units, metas=None: self._transmit_batch(
-            units, metas
-        )
         self.stack.on_deliver = lambda data, **meta: None
 
     @property
@@ -150,23 +146,8 @@ class QuicHost:
         if self.on_transmit is not None:
             self.on_transmit(unit, **meta)
 
-    def _transmit_batch(self, units: Any, metas: Any = None) -> None:
-        if self.on_transmit_batch is not None:
-            self.on_transmit_batch(units, metas)
-        elif self.on_transmit is not None:
-            if metas is None:
-                for unit in units:
-                    self.on_transmit(unit)
-            else:
-                for unit, meta in zip(units, metas):
-                    self.on_transmit(unit, **meta)
-
     def receive(self, unit: Any, **meta: Any) -> None:
         self.stack.receive(unit, **meta)
-
-    def receive_batch(self, units: Any, metas: Any = None) -> None:
-        """Inject a batch of wire units (one stack entry for the lot)."""
-        self.stack.receive_batch(units, metas)
 
     def _stream_call(self, method: str, *args: Any) -> Any:
         with acting_as("stream"):

@@ -52,12 +52,7 @@ def build_cases() -> dict[type[Sublayer], Sublayer]:
     """One deliberately non-default instance per concrete subclass."""
     from repro.core.shim import IdentityShim
     from repro.core.sublayer import PassthroughSublayer
-    from repro.datalink.arq import (
-        GoBackNArq,
-        NullArq,
-        SelectiveRepeatArq,
-        StopAndWaitArq,
-    )
+    from repro.datalink.arq import GoBackNArq, SelectiveRepeatArq, StopAndWaitArq
     from repro.datalink.errordetect import ErrorDetectSublayer, ParityByte
     from repro.datalink.framing.cobs import CobsFramingSublayer
     from repro.datalink.framing.rules import prefix_rule
@@ -128,7 +123,6 @@ def build_cases() -> dict[type[Sublayer], Sublayer]:
         IdentityShim("idshim"),
         Rfc793Shim("rfcshim"),
         CobsFramingSublayer("cobs"),
-        NullArq("null-arq"),
         StopAndWaitArq("saw", retransmit_timeout=0.55, max_retries=7),
         GoBackNArq("gbn", retransmit_timeout=0.45, max_retries=9, window=5),
         SelectiveRepeatArq("sr", retransmit_timeout=0.35, max_retries=11, window=6),

@@ -1,8 +1,9 @@
 """Buffer-protocol discipline through CRC, COBS, and checksums.
 
-The batched fast path hands ``memoryview`` slices down the framing and
-error-detection code; these tests pin the contract that those routines
-(1) accept any buffer-protocol object and (2) never take an
+The CRC, COBS and checksum routines take any buffer-protocol object as
+their input — the COBS sublayer already hands ``cobs_decode`` a
+``memoryview`` of the received frame.  These tests pin that contract:
+the routines (1) accept any buffer-protocol object and (2) never take an
 intermediate ``bytes()`` copy — every slice they make of a view is
 itself a view of the *original* buffer, which ``memoryview.obj``
 identity makes directly observable.

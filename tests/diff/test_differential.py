@@ -1,42 +1,33 @@
-"""Differential equivalence rig: every fast path against the slow truth.
+"""Cross-tier parity: the instrumentation tier changes host work only.
 
-The batched vector protocol and the tier=off codegen fast path promise
-to be *semantically invisible*: a seeded workload must produce
-byte-identical delivery order, metrics snapshots, and sublayer state
-whichever path carried it.  This rig runs each profile (hdlc,
-wireless, tcp, quic) under seeded traffic and compares:
-
-* scalar sends vs ``send_batch`` (same tier),
-* chain walk vs codegen (``Stack.codegen_enabled`` off vs on),
-* across all three instrumentation tiers,
-* and, for hdlc, with deterministic fault sublayers inserted and with
-  the ARQ slot swapped for a passthrough (the fully-fuseable stack).
-
-Every comparison is against the scalar chain-walk run — the
-configuration the rest of the test suite has been validating since the
-seed commit.
+``full``, ``metrics`` and ``off`` compile different hop functions, but
+the architecture under them is the same — same sublayers, same headers,
+same virtual-time behaviour.  The ``full`` tier's instrumented chain
+walk is the reference; the cheaper hops the wiring plan compiles for
+``metrics`` and ``off`` are the fast paths.  This rig runs each shipped
+profile (hdlc, hdlc with deterministic faults inserted, wireless, tcp,
+quic) under a seeded workload at every tier and requires its observable
+books to equal the reference run's: delivered bytes, every sublayer's
+``state.snapshot()``, and the metrics registry snapshot.  At ``full``
+the comparison is a fresh rerun, so it also checks determinism.
 """
 
 import random
+from functools import cache
 
 import pytest
 
 from repro.datalink import (
-    NullArq,
     build_hdlc_stack,
     build_wireless_station,
     collect_bytes,
     send_bytes,
-    send_bytes_batch,
 )
 from repro.faults import DropFault, DuplicateFault, FaultSchedule
 from repro.obs import MetricsRegistry
 from repro.sim import BroadcastMedium, DuplexLink, LinkConfig, Simulator
 
 TIERS = ["full", "metrics", "off"]
-
-#: (mode, codegen): the three fast paths, each diffed against scalar+chain.
-VARIANTS = [("scalar", True), ("batch", False), ("batch", True)]
 
 PAYLOADS = [
     bytes([i % 251, (i * 7) % 251, (i * 13) % 251]) * 3 for i in range(24)
@@ -55,26 +46,31 @@ def books(stacks, delivered, metrics):
             }
             for stack in stacks
         },
-        "hops": {
-            stack.name: (stack.hop_counters.down, stack.hop_counters.up)
-            for stack in stacks
-        },
     }
+
+
+@cache
+def reference(run, **kwargs):
+    """``run``'s books at the ``full`` tier, computed once per module."""
+    return run("full", **kwargs)
+
+
+def matches_reference(run, tier, **kwargs):
+    """Run ``run(tier, **kwargs)``; assert it equals the ``full`` run."""
+    baseline = reference(run, **kwargs)
+    assert run(tier, **kwargs) == baseline, tier
+    return baseline
 
 
 # ----------------------------------------------------------------------
 # hdlc
 # ----------------------------------------------------------------------
-def run_hdlc(tier, mode, codegen, fault=False, swap_arq=False):
+def run_hdlc(tier, fault=False):
     sim = Simulator()
     metrics = MetricsRegistry()
     kwargs = dict(tier=tier, metrics=metrics, retransmit_timeout=0.23)
-    if swap_arq:
-        kwargs["replacements"] = {"arq": lambda params: NullArq("recovery")}
     a = build_hdlc_stack("dl-a", sim.clock(), **kwargs)
     b = build_hdlc_stack("dl-b", sim.clock(), **kwargs)
-    a.codegen_enabled = codegen
-    b.codegen_enabled = codegen
     if fault:
         a.insert(
             "errordetect",
@@ -105,62 +101,32 @@ def run_hdlc(tier, mode, codegen, fault=False, swap_arq=False):
     )
     duplex.attach(a, b)
     inbox_a, inbox_b = collect_bytes(a), collect_bytes(b)
-    if mode == "batch":
-        send_bytes_batch(a, PAYLOADS)
-        send_bytes_batch(b, PAYLOADS[:8])
-    else:
-        for payload in PAYLOADS:
-            send_bytes(a, payload)
-        for payload in PAYLOADS[:8]:
-            send_bytes(b, payload)
+    for payload in PAYLOADS:
+        send_bytes(a, payload)
+    for payload in PAYLOADS[:8]:
+        send_bytes(b, payload)
     sim.run(until=30)
     return books([a, b], {"a": inbox_a, "b": inbox_b}, metrics)
 
 
 @pytest.mark.parametrize("tier", TIERS)
 def test_hdlc_fast_paths_match_chain_walk(tier):
-    baseline = run_hdlc(tier, "scalar", codegen=False)
+    baseline = matches_reference(run_hdlc, tier)
     assert baseline["delivered"]["b"] == PAYLOADS  # the run is not vacuous
-    for mode, codegen in VARIANTS:
-        assert run_hdlc(tier, mode, codegen) == baseline, (mode, codegen)
 
 
 @pytest.mark.parametrize("tier", TIERS)
 def test_hdlc_with_faults_matches_chain_walk(tier):
-    baseline = run_hdlc(tier, "scalar", codegen=False, fault=True)
+    baseline = matches_reference(run_hdlc, tier, fault=True)
     faults = baseline["state"]["dl-a"]["drop"]["faults_injected"]
     assert faults > 0  # the adversity actually happened
     assert baseline["delivered"]["b"] == PAYLOADS  # ...and ARQ recovered
-    for mode, codegen in VARIANTS:
-        assert (
-            run_hdlc(tier, mode, codegen, fault=True) == baseline
-        ), (mode, codegen)
-
-
-def test_hdlc_passthrough_arq_fuses_and_matches():
-    baseline = run_hdlc("off", "scalar", codegen=False, swap_arq=True)
-    for mode, codegen in VARIANTS:
-        assert (
-            run_hdlc("off", mode, codegen, swap_arq=True) == baseline
-        ), (mode, codegen)
-
-
-def test_hdlc_passthrough_arq_really_uses_codegen():
-    sim = Simulator()
-    stack = build_hdlc_stack(
-        "dl",
-        sim.clock(),
-        tier="off",
-        replacements={"arq": lambda params: NullArq("recovery")},
-    )
-    stack.on_transmit = lambda unit, **meta: None
-    assert stack.wiring_plan.fused == {"down": True, "up": True}
 
 
 # ----------------------------------------------------------------------
 # wireless
 # ----------------------------------------------------------------------
-def run_wireless(tier, mode, codegen):
+def run_wireless(tier):
     sim = Simulator()
     metrics = MetricsRegistry()
     medium = BroadcastMedium(sim, rate_bps=200_000.0)
@@ -175,17 +141,11 @@ def run_wireless(tier, mode, codegen):
         )
         for i in range(3)
     ]
-    for stack in stacks:
-        stack.codegen_enabled = codegen
     inboxes = [collect_bytes(stack) for stack in stacks]
-    if mode == "batch":
-        send_bytes_batch(stacks[0], PAYLOADS[:10])
-        send_bytes_batch(stacks[1], PAYLOADS[10:16])
-    else:
-        for payload in PAYLOADS[:10]:
-            send_bytes(stacks[0], payload)
-        for payload in PAYLOADS[10:16]:
-            send_bytes(stacks[1], payload)
+    for payload in PAYLOADS[:10]:
+        send_bytes(stacks[0], payload)
+    for payload in PAYLOADS[10:16]:
+        send_bytes(stacks[1], payload)
     sim.run(until=30)
     return books(
         stacks, {i: inbox for i, inbox in enumerate(inboxes)}, metrics
@@ -194,16 +154,23 @@ def run_wireless(tier, mode, codegen):
 
 @pytest.mark.parametrize("tier", TIERS)
 def test_wireless_fast_paths_match_chain_walk(tier):
-    baseline = run_wireless(tier, "scalar", codegen=False)
+    baseline = matches_reference(run_wireless, tier)
     assert any(baseline["delivered"][i] for i in (1, 2))
-    for mode, codegen in VARIANTS:
-        assert run_wireless(tier, mode, codegen) == baseline, (mode, codegen)
 
 
 # ----------------------------------------------------------------------
-# tcp / quic (host-level: the batch surface is the link wiring)
+# tcp / quic (host level, over a lossy duplex link)
 # ----------------------------------------------------------------------
-def run_tcp(tier, codegen, nbytes=30_000):
+def lossy_duplex(sim, seed):
+    return DuplexLink(
+        sim,
+        LinkConfig(delay=0.02, rate_bps=8_000_000, loss=0.02),
+        rng_forward=random.Random(seed),
+        rng_reverse=random.Random(seed + 1),
+    )
+
+
+def run_tcp(tier, nbytes=30_000):
     from repro.transport import SublayeredTcpHost, TcpConfig
 
     sim = Simulator()
@@ -211,69 +178,31 @@ def run_tcp(tier, codegen, nbytes=30_000):
     config = TcpConfig(mss=1000)
     a = SublayeredTcpHost("a", sim.clock(), config, tier=tier, metrics=metrics)
     b = SublayeredTcpHost("b", sim.clock(), config, tier=tier, metrics=metrics)
-    for host in (a, b):
-        host.stack.codegen_enabled = codegen
-    duplex = DuplexLink(
-        sim,
-        LinkConfig(delay=0.02, rate_bps=8_000_000, loss=0.02),
-        rng_forward=random.Random(5),
-        rng_reverse=random.Random(6),
-    )
-    duplex.attach(a, b)
+    lossy_duplex(sim, 5).attach(a, b)
     b.listen(80)
     data = bytes(i % 251 for i in range(nbytes))
-    done = {}
-
-    def accept(peer_sock):
-        def on_data(_chunk):
-            if len(peer_sock.bytes_received()) >= nbytes:
-                done.setdefault("at", sim.now)
-
-        peer_sock.on_data = on_data
-
-    b.on_accept = accept
     sock = a.connect(12345, 80)
     sock.on_connect = lambda: (sock.send(data), sock.close())
     sim.run(until=120)
     peer = b.socket_for(80, 12345)
     received = peer.bytes_received() if peer is not None else b""
-    return {
-        "received": received,
-        "done_at": done.get("at"),
-        "metrics": metrics.snapshot(),
-        "state": {
-            host.stack.name: {
-                sublayer.name: sublayer.state.snapshot()
-                for sublayer in host.stack.sublayers
-            }
-            for host in (a, b)
-        },
-    }
+    return books([a.stack, b.stack], received, metrics)
 
 
 @pytest.mark.parametrize("tier", TIERS)
 def test_tcp_codegen_wiring_matches_chain_walk(tier):
-    baseline = run_tcp(tier, codegen=False)
-    assert len(baseline["received"]) == 30_000
-    assert run_tcp(tier, codegen=True) == baseline
+    baseline = matches_reference(run_tcp, tier)
+    assert len(baseline["delivered"]) == 30_000
 
 
-def run_quic(tier, codegen, nbytes=20_000):
+def run_quic(tier, nbytes=20_000):
     from repro.transport.quic import QuicHost
 
     sim = Simulator()
     metrics = MetricsRegistry()
     a = QuicHost("qa", sim.clock(), tier=tier, metrics=metrics)
     b = QuicHost("qb", sim.clock(), tier=tier, metrics=metrics)
-    for host in (a, b):
-        host.stack.codegen_enabled = codegen
-    duplex = DuplexLink(
-        sim,
-        LinkConfig(delay=0.02, rate_bps=8_000_000, loss=0.02),
-        rng_forward=random.Random(7),
-        rng_reverse=random.Random(8),
-    )
-    duplex.attach(a, b)
+    lossy_duplex(sim, 7).attach(a, b)
     b.listen(443)
     data = bytes(i % 251 for i in range(nbytes))
     conn = a.connect(9000, 443)
@@ -281,11 +210,10 @@ def run_quic(tier, codegen, nbytes=20_000):
     sim.run(until=120)
     peer = b.connection_for(443, 9000)
     received = peer.stream_bytes(1) if peer is not None else b""
-    return {"received": received, "metrics": metrics.snapshot()}
+    return books([a.stack, b.stack], received, metrics)
 
 
 @pytest.mark.parametrize("tier", TIERS)
 def test_quic_codegen_wiring_matches_chain_walk(tier):
-    baseline = run_quic(tier, codegen=False)
-    assert len(baseline["received"]) == 20_000
-    assert run_quic(tier, codegen=True) == baseline
+    baseline = matches_reference(run_quic, tier)
+    assert len(baseline["delivered"]) == 20_000

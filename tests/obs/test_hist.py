@@ -95,7 +95,7 @@ class TestHistogram:
 
 
 class TestWeightedObserve:
-    """observe(value, count=n): how a batched hop pays its metrics bill."""
+    """observe(value, count=n): n equal samples recorded in one call."""
 
     def test_counted_equals_repeated(self):
         weighted, repeated = Histogram(), Histogram()
