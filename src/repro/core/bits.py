@@ -7,28 +7,65 @@ not be byte aligned after stuffing.  :class:`Bits` is a small immutable
 sequence-of-{0,1} type with the handful of operations those sublayers
 need: concatenation, slicing, pattern search, and byte conversion.
 
-The representation is a ``tuple`` of ints, chosen for hashability (bit
-strings are dictionary keys in the stuffing-rule search and model
-checker) and for simplicity over raw speed; the benchmark workloads are
-kilobits, not gigabits.
+The representation is one immutable ``bytes`` holding one byte per bit
+(``0x00`` or ``0x01``), exposed read-only as :attr:`Bits.raw`.  Every
+operation is one or two C-level calls on that buffer: slicing, ``+``,
+``find``, ``startswith``/``endswith`` and ``==`` are ``bytes``
+operations, and the byte, int and string conversions go through
+``int.from_bytes``, ``bin``/``int(..., 2)`` and ``bytes.translate``.
+The constructor still checks that every value is 0 or 1, in C
+(``buf.translate(None, b"\\x00\\x01")`` must be empty).
+
+Equality and hashing agree with ``tuple`` of the same ints (``Bits(x)
+== tuple(x)`` and ``hash(Bits(x)) == hash(tuple(x))``), because bit
+strings key the stuffing-rule search and model-checker tables.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
+_BIT_VALUES = b"\x00\x01"
+_TO_ASCII = bytes.maketrans(_BIT_VALUES, b"01")
+_FROM_ASCII = bytes.maketrans(b"01", _BIT_VALUES)
+
+
+def _int_buffer(value: int, width: int) -> bytes:
+    """``width`` bits of ``value`` (which must fit), MSB first.
+
+    The sentinel bit above ``width`` keeps leading zeros in ``bin``.
+    """
+    return bin(value | (1 << width))[3:].encode("ascii").translate(_FROM_ASCII)
+
+
+def _buffer(bits: Iterable[int]) -> bytes:
+    """One byte per bit for anything :class:`Bits` accepts (unchecked)."""
+    if isinstance(bits, Bits):
+        return bits._buf
+    if isinstance(bits, (bytes, bytearray, memoryview)):
+        return bytes(bits)
+    try:
+        return bytes(map(int, bits))
+    except ValueError:  # a value outside 0..255
+        raise ValueError("bit values must be 0 or 1") from None
+
 
 class Bits(Sequence[int]):
     """An immutable sequence of bits (each 0 or 1)."""
 
-    __slots__ = ("_bits",)
+    __slots__ = ("_buf",)
 
-    def __init__(self, bits: Iterable[int] = ()):
-        as_tuple = tuple(int(b) for b in bits)
-        for b in as_tuple:
-            if b not in (0, 1):
-                raise ValueError(f"bit values must be 0 or 1, got {b}")
-        self._bits = as_tuple
+    def __init__(self, bits: Iterable[int] = b""):
+        buf = bits if type(bits) is bytes else _buffer(bits)
+        bad = buf.translate(None, _BIT_VALUES)
+        if bad:
+            raise ValueError(f"bit values must be 0 or 1, got {bad[0]}")
+        self._buf = buf
+
+    @property
+    def raw(self) -> bytes:
+        """The bits as ``bytes``, one byte (``0x00``/``0x01``) per bit."""
+        return self._buf
 
     # ------------------------------------------------------------------
     # Constructors
@@ -37,18 +74,14 @@ class Bits(Sequence[int]):
     def from_string(cls, text: str) -> "Bits":
         """Parse a bit string like ``"01111110"`` (spaces/underscores ignored)."""
         cleaned = text.replace(" ", "").replace("_", "")
-        if not set(cleaned) <= {"0", "1"}:
+        if cleaned.strip("01"):  # anything left is not a bit
             raise ValueError(f"not a bit string: {text!r}")
-        return cls(int(c) for c in cleaned)
+        return cls(cleaned.encode("ascii").translate(_FROM_ASCII))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Bits":
         """Expand bytes to bits, most-significant bit first."""
-        out = []
-        for byte in data:
-            for shift in range(7, -1, -1):
-                out.append((byte >> shift) & 1)
-        return cls(out)
+        return cls(_int_buffer(int.from_bytes(data, "big"), 8 * len(data)))
 
     @classmethod
     def from_int(cls, value: int, width: int) -> "Bits":
@@ -59,50 +92,48 @@ class Bits(Sequence[int]):
             raise ValueError("width must be non-negative")
         if value >= (1 << width):
             raise ValueError(f"value {value} does not fit in {width} bits")
-        return cls((value >> shift) & 1 for shift in range(width - 1, -1, -1))
+        return cls(_int_buffer(value, width))
 
     @classmethod
     def zeros(cls, count: int) -> "Bits":
-        return cls([0] * count)
+        return cls(bytes(count))
 
     @classmethod
     def ones(cls, count: int) -> "Bits":
-        return cls([1] * count)
+        return cls(b"\x01" * count)
 
     # ------------------------------------------------------------------
     # Sequence protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._bits)
+        return len(self._buf)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._bits)
+        return iter(self._buf)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Bits(self._bits[index])
-        return self._bits[index]
+            return Bits(self._buf[index])
+        return self._buf[index]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Bits):
-            return self._bits == other._bits
+            return self._buf == other._buf
         if isinstance(other, (tuple, list)):
-            return self._bits == tuple(other)
+            return tuple(self._buf) == tuple(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._bits)
+        return hash(tuple(self._buf))
 
     def __add__(self, other: "Bits | Iterable[int]") -> "Bits":
-        if isinstance(other, Bits):
-            return Bits(self._bits + other._bits)
-        return Bits(self._bits + tuple(int(b) for b in other))
+        return Bits(self._buf + _buffer(other))
 
     def __radd__(self, other: Iterable[int]) -> "Bits":
-        return Bits(tuple(int(b) for b in other) + self._bits)
+        return Bits(_buffer(other) + self._buf)
 
     def __mul__(self, count: int) -> "Bits":
-        return Bits(self._bits * count)
+        return Bits(self._buf * count)
 
     def __repr__(self) -> str:
         return f"Bits('{self.to_string()}')"
@@ -111,28 +142,21 @@ class Bits(Sequence[int]):
     # Conversions
     # ------------------------------------------------------------------
     def to_string(self) -> str:
-        return "".join(str(b) for b in self._bits)
+        return self._buf.translate(_TO_ASCII).decode("ascii")
 
     def to_int(self) -> int:
         """Interpret the bits as a big-endian unsigned integer."""
-        value = 0
-        for bit in self._bits:
-            value = (value << 1) | bit
-        return value
+        if not self._buf:
+            return 0
+        return int(self._buf.translate(_TO_ASCII), 2)
 
     def to_bytes(self) -> bytes:
         """Pack to bytes, MSB first.  Length must be a multiple of 8."""
-        if len(self._bits) % 8 != 0:
+        if len(self._buf) % 8 != 0:
             raise ValueError(
-                f"bit length {len(self._bits)} is not a whole number of bytes"
+                f"bit length {len(self._buf)} is not a whole number of bytes"
             )
-        out = bytearray()
-        for i in range(0, len(self._bits), 8):
-            byte = 0
-            for bit in self._bits[i : i + 8]:
-                byte = (byte << 1) | bit
-            out.append(byte)
-        return bytes(out)
+        return self.to_int().to_bytes(len(self._buf) // 8, "big")
 
     # ------------------------------------------------------------------
     # Pattern operations (used by framing)
@@ -142,14 +166,7 @@ class Bits(Sequence[int]):
 
         Returns -1 if the pattern does not occur.
         """
-        if len(pattern) == 0:
-            return start if start <= len(self) else -1
-        limit = len(self) - len(pattern)
-        probe = pattern._bits
-        for i in range(start, limit + 1):
-            if self._bits[i : i + len(probe)] == probe:
-                return i
-        return -1
+        return self._buf.find(pattern._buf, start)
 
     def count_overlapping(self, pattern: "Bits") -> int:
         """Number of (possibly overlapping) occurrences of ``pattern``."""
@@ -161,15 +178,13 @@ class Bits(Sequence[int]):
         return count
 
     def contains(self, pattern: "Bits") -> bool:
-        return self.find(pattern) != -1
+        return pattern._buf in self._buf
 
     def startswith(self, pattern: "Bits") -> bool:
-        return self._bits[: len(pattern)] == pattern._bits
+        return self._buf.startswith(pattern._buf)
 
     def endswith(self, pattern: "Bits") -> bool:
-        if len(pattern) == 0:
-            return True
-        return self._bits[-len(pattern) :] == pattern._bits
+        return self._buf.endswith(pattern._buf)
 
 
 def all_bitstrings(length: int) -> Iterator[Bits]:

@@ -10,10 +10,12 @@ against which sublayer actually read or wrote each field at runtime.
 A :class:`HeaderFormat` packs/unpacks a ``dict`` of field values to and
 from :class:`~repro.core.bits.Bits` (and bytes when the total width is
 byte aligned), so the same declaration serves the in-simulator object
-representation and an on-the-wire byte encoding.  The Fig 6 sublayered
-TCP header and the RFC 793 header are both declared this way, which is
-what lets :mod:`repro.analysis.headers` check their isomorphism field
-by field.
+representation and an on-the-wire byte encoding.  A format caches its
+width and each field's shift and mask, and packs and unpacks with int
+shifts: one ``Bits`` (or one ``int.to_bytes``) per header, not one per
+field.  The Fig 6 sublayered TCP header and the RFC 793 header are both
+declared this way, which is what lets :mod:`repro.analysis.headers`
+check their isomorphism field by field.
 """
 
 from __future__ import annotations
@@ -77,12 +79,21 @@ class HeaderFormat:
         self.name = name
         self.fields: tuple[Field, ...] = tuple(resolved)
         self._by_name: dict[str, Field] = {f.name: f for f in self.fields}
+        self._bit_width = sum(f.width for f in self.fields)
+        # The packed header is one big-endian int of bit_width bits;
+        # each field sits ``shift`` bits above its least significant bit.
+        layout: list[tuple[str, int, int, int]] = []
+        shift = self._bit_width
+        for field in self.fields:
+            shift -= field.width
+            layout.append((field.name, shift, field.max_value, field.default))
+        self._layout = tuple(layout)
 
     # ------------------------------------------------------------------
     @property
     def bit_width(self) -> int:
         """Total header width in bits."""
-        return sum(f.width for f in self.fields)
+        return self._bit_width
 
     @property
     def byte_width(self) -> int:
@@ -117,48 +128,69 @@ class HeaderFormat:
         return ranges
 
     # ------------------------------------------------------------------
-    def pack(self, values: Mapping[str, int] | None = None) -> Bits:
-        """Encode field values to bits; missing fields take their default."""
-        values = dict(values or {})
-        unknown = set(values) - set(self._by_name)
+    def _pack_int(self, values: Mapping[str, int] | None) -> int:
+        """Field values as one big-endian int; missing fields take defaults."""
+        values = values or {}
+        unknown = values.keys() - self._by_name.keys()
         if unknown:
             raise HeaderError(
                 f"unknown fields for header {self.name!r}: {sorted(unknown)}"
             )
-        out = Bits()
-        for field in self.fields:
-            value = int(values.get(field.name, field.default))
-            if not (0 <= value <= field.max_value):
+        packed = 0
+        get = values.get
+        for name, shift, top, default in self._layout:
+            value = int(get(name, default))
+            if not 0 <= value <= top:
                 raise HeaderError(
-                    f"value {value} does not fit field {field.name!r} "
-                    f"({field.width} bits) of header {self.name!r}"
+                    f"value {value} does not fit field {name!r} "
+                    f"({top.bit_length()} bits) of header {self.name!r}"
                 )
-            out = out + Bits.from_int(value, field.width)
-        return out
+            packed |= value << shift
+        return packed
+
+    def _unpack_int(self, packed: int) -> dict[str, int]:
+        return {
+            name: (packed >> shift) & top for name, shift, top, _ in self._layout
+        }
+
+    def pack(self, values: Mapping[str, int] | None = None) -> Bits:
+        """Encode field values to bits; missing fields take their default."""
+        return Bits.from_int(self._pack_int(values), self._bit_width)
 
     def pack_bytes(self, values: Mapping[str, int] | None = None) -> bytes:
-        return self.pack(values).to_bytes()
+        packed = self._pack_int(values)
+        if self._bit_width % 8 != 0:
+            raise ValueError(
+                f"bit length {self._bit_width} is not a whole number of bytes"
+            )
+        return packed.to_bytes(self._bit_width // 8, "big")
 
     def unpack(self, bits: Bits) -> dict[str, int]:
         """Decode exactly one header's worth of leading bits."""
-        if len(bits) < self.bit_width:
+        width = self._bit_width
+        if len(bits) < width:
             raise HeaderError(
-                f"need {self.bit_width} bits for header {self.name!r}, "
-                f"got {len(bits)}"
+                f"need {width} bits for header {self.name!r}, got {len(bits)}"
             )
-        values: dict[str, int] = {}
-        offset = 0
-        for field in self.fields:
-            values[field.name] = bits[offset : offset + field.width].to_int()
-            offset += field.width
-        return values
+        if len(bits) > width:
+            bits = bits[:width]
+        return self._unpack_int(bits.to_int())
 
     def unpack_bytes(self, data: bytes) -> dict[str, int]:
-        return self.unpack(Bits.from_bytes(data[: (self.bit_width + 7) // 8]))
+        width = self._bit_width
+        head = data[: (width + 7) // 8]
+        if 8 * len(head) < width:
+            raise HeaderError(
+                f"need {width} bits for header {self.name!r}, "
+                f"got {8 * len(head)}"
+            )
+        return self._unpack_int(
+            int.from_bytes(head, "big") >> (8 * len(head) - width)
+        )
 
     def split(self, bits: Bits) -> tuple[dict[str, int], Bits]:
         """Decode the leading header and return (values, remaining bits)."""
-        return self.unpack(bits), bits[self.bit_width :]
+        return self.unpack(bits), bits[self._bit_width :]
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:

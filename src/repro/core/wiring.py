@@ -299,11 +299,14 @@ class WiringPlan:
             # A sampling hook returns None for crossings it is not
             # keeping (head-sampled out): the hop then skips the
             # context-manager protocol entirely.  Sampling hooks also
-            # expose a ``gate`` — ``[dropping, skipped]`` — that is
-            # True for the whole dynamic extent of a head-dropped
-            # activation, letting these hops skip even the hook call:
-            # two list indexings instead of a frame, which is what
-            # keeps sampled tracing within the C12 overhead budget.
+            # expose a ``gate`` (``repro.obs.span.SkipGate``) whose
+            # ``dropping`` flag is True for the whole dynamic extent of
+            # a head-dropped activation, letting these hops skip even
+            # the hook call.  For a dropped root the hook may return the
+            # gate itself: the hop then opens it, runs the activation
+            # and closes it, so the whole activation costs one hook
+            # call — which is what keeps sampled tracing within the C12
+            # overhead budget.
             gate = getattr(hook, "gate", None)
 
             if gate is None:
@@ -319,13 +322,22 @@ class WiringPlan:
             else:
 
                 def call(sdu: Any, **meta: Any) -> None:
-                    if gate[0]:
-                        gate[1] += 1
+                    if gate.dropping:
+                        gate.skipped += 1
                         spanned(sdu, **meta)
                         return
                     span = hook(direction, caller, provider, sdu, meta)
                     if span is None:
                         spanned(sdu, **meta)
+                    elif span is gate:
+                        gate.dropping = True
+                        try:
+                            spanned(sdu, **meta)
+                        except BaseException as exc:
+                            gate.dropping = False
+                            gate.failed(exc)
+                            raise
+                        gate.dropping = False
                     else:
                         with span:
                             spanned(sdu, **meta)

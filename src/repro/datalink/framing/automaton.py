@@ -21,6 +21,7 @@ class MatchAutomaton:
         self.pattern = pattern
         self.size = len(pattern)
         self._delta = self._build()
+        self._overlap = self._overlap_state()
 
     def _build(self) -> list[tuple[int, int]]:
         """delta[state] = (next_state_on_0, next_state_on_1).
@@ -61,7 +62,7 @@ class MatchAutomaton:
         """
         nxt = self._delta[state][bit]
         if nxt == self.size:
-            return self._overlap_state(), True
+            return self._overlap, True
         return nxt, False
 
     def _overlap_state(self) -> int:

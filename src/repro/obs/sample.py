@@ -55,7 +55,8 @@ class Activation:
         self.error: str | None = None
         #: The retain watcher's reading when the root span started.
         self.interest0: Any = None
-        #: Crossings neither recorded nor buffered (head-sampled out).
+        #: Crossings neither recorded nor buffered (head-sampled out)
+        #: that reached the hook; the tracer's skip gate counts the rest.
         self.skipped = 0
 
 

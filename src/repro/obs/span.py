@@ -23,8 +23,12 @@ activation, whole trees kept or dropped atomically, and dropped
 activations retained anyway when an error escaped them or a watched
 counter moved.  For a dropped crossing the hook returns ``None`` and
 the compiled hop (:mod:`repro.core.wiring`) skips the context-manager
-protocol entirely — the C12 benchmark holds this path to ≤5% over an
-untraced stack at ``sample=0.01``.
+protocol entirely.  A dropped root that only an error could retain
+(``tail="root"``, no ``retain``) costs less still: the hook hands back
+the tracer's :class:`SkipGate`, and the hop runs the whole activation
+behind it — no span object, no context variable, no hook call for any
+nested crossing.  The C12 benchmark holds sampled tracing to ≤5% over
+an untraced stack at ``sample=0.01``.
 """
 
 from __future__ import annotations
@@ -60,6 +64,34 @@ def pdu_label(sdu: Any) -> str:
         return f"{type(sdu).__name__.lower()}[{len(sdu)}]"
     except TypeError:
         return type(sdu).__name__.lower()
+
+
+def _span_record(
+    sid: int,
+    parent: int | None,
+    stack: Stack,
+    direction: str,
+    caller: str,
+    provider: str,
+    sdu: Any,
+    times: tuple[float, float, float, float],
+) -> dict[str, Any]:
+    """One span's trace record; ``times`` is ``(t0, t1, w0, w1)``."""
+    t0, t1, w0, w1 = times
+    return {
+        "sid": sid,
+        "parent": parent,
+        "stack": stack.name,
+        "direction": direction,
+        "caller": caller,
+        "actor": provider,
+        "pdu": pdu_label(sdu),
+        "pdu_id": pdu_id(sdu),
+        "t0": t0,
+        "t1": t1,
+        "w0": w0,
+        "w1": w1,
+    }
 
 
 def pdu_id(sdu: Any) -> int:
@@ -113,13 +145,10 @@ class _Span:
         self._token = _ACTIVE_SPAN.set(self)
         act = self.act
         if self.parent is None and not act.keep and act.buffer is None:
-            # Head-dropped root with tail="root": open the skip gate so
-            # every nested hop bypasses the hook entirely (the compiled
-            # wiring checks the gate before calling it) — this is what
-            # keeps sampled tracing inside the C12 overhead budget.
-            gate = tracer._gate
-            gate[0] = True
-            gate[1] = 0
+            # Head-dropped root with tail="root" and a retain watcher:
+            # open the skip gate so every nested hop bypasses the hook
+            # entirely (the compiled wiring checks the gate first).
+            tracer._gate.dropping = True
         self.t0 = self.stack.clock.now()
         self.w0 = time.perf_counter()
         return self
@@ -127,20 +156,10 @@ class _Span:
     def _record(self, virtual_end: float, wall_end: float) -> dict[str, Any]:
         """The span's trace record (built lazily: dropped unretained
         roots never pay for it)."""
-        return {
-            "sid": self.sid,
-            "parent": self.parent,
-            "stack": self.stack.name,
-            "direction": self.direction,
-            "caller": self.caller,
-            "actor": self.provider,
-            "pdu": pdu_label(self.sdu),
-            "pdu_id": pdu_id(self.sdu),
-            "t0": self.t0,
-            "t1": virtual_end,
-            "w0": self.w0,
-            "w1": wall_end,
-        }
+        return _span_record(
+            self.sid, self.parent, self.stack, self.direction, self.caller,
+            self.provider, self.sdu, (self.t0, virtual_end, self.w0, wall_end),
+        )
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
         wall_end = time.perf_counter()
@@ -165,11 +184,30 @@ class _Span:
                 act.buffer.append(record)
         else:
             if act.buffer is None:
-                gate = tracer._gate
-                act.skipped += gate[1]
-                gate[0] = False
+                tracer._gate.dropping = False
             tracer._finish_dropped_root(act, self, wall_end)
         return False
+
+
+class SkipGate:
+    """The fast path past a tracer's hook, shared by all its hooks.
+
+    It rides on every hook the tracer hands out (``hook.gate``).  While
+    ``dropping`` is True — the dynamic extent of a head-dropped root —
+    the compiled hops (:mod:`repro.core.wiring`) add each crossing to
+    ``skipped`` and call straight through without calling the hook.
+    When the hook returns the gate itself for a root crossing, the hop
+    opens it, runs the whole activation behind it and closes it again;
+    an exception escaping the activation goes to ``failed`` first.
+    """
+
+    __slots__ = ("dropping", "skipped", "failed")
+
+    def __init__(self, failed: Any):
+        self.dropping = False
+        #: Crossings skipped behind the gate, over the tracer's life.
+        self.skipped = 0
+        self.failed = failed
 
 
 class SpanTracer:
@@ -210,18 +248,16 @@ class SpanTracer:
         self.retain = retain
         self.tail = tail
         self._rng = rng if rng is not None else default_sample_rng()
-        #: Spans discarded by the sampling decision (head + unretained).
-        self.sampled_out = 0
+        # Dropped spans not counted by the gate (see ``sampled_out``).
+        self._sampled_out = 0
         #: Dropped activations kept by tail retention, by reason.
         self.retained = {"error": 0, "interest": 0}
         self._next_id = 1
         self._attached: list[Stack] = []
-        #: ``[dropping, skipped]`` — the fast skip gate shared by every
-        #: hook this tracer hands out.  ``dropping`` is True exactly
-        #: for the dynamic extent of a head-dropped tail="root"
-        #: activation; the compiled hops then count the crossing in
-        #: ``skipped`` and call straight through.
-        self._gate: list = [False, 0]
+        self._gate = SkipGate(self._gated_root_failed)
+        #: ``(stack, direction, caller, provider, sdu, sid, t0, w0)`` of
+        #: the activation running behind the gate, for its error record.
+        self._gated_root: tuple | None = None
 
     # ------------------------------------------------------------------
     def attach(self, stack: Stack) -> "SpanTracer":
@@ -230,7 +266,7 @@ class SpanTracer:
 
         def hook(
             direction: str, caller: str, provider: str, sdu: Any, meta: dict
-        ) -> "_Span | None":
+        ) -> "_Span | SkipGate | None":
             return span(stack, direction, caller, provider, sdu, meta)
 
         # The gate rides on the hook function itself, so stack surgery
@@ -259,12 +295,25 @@ class SpanTracer:
         provider: str,
         sdu: Any,
         meta: dict,
-    ) -> "_Span | None":
-        """The span hook: a context manager for kept crossings, else None."""
+    ) -> "_Span | SkipGate | None":
+        """The span hook: a context manager for kept crossings, else None.
+
+        A head-dropped root that only an error could retain gets the
+        :class:`SkipGate` instead: its hop runs it behind the gate.
+        """
         active = _ACTIVE_SPAN.get()
         if active is None:
             # Root of a new activation: the head decision.
             keep = self.sample >= 1.0 or self._rng.random() < self.sample
+            if not keep and self.tail == "root" and self.retain is None:
+                sid = self._next_id
+                self._next_id = sid + 1
+                self._sampled_out += 1
+                self._gated_root = (
+                    stack, direction, caller, provider, sdu, sid,
+                    stack.clock.now(), time.perf_counter(),
+                )
+                return self._gate
             act = Activation(keep)
             if not keep:
                 if self.tail == "tree":
@@ -282,6 +331,24 @@ class SpanTracer:
         act.skipped += 1
         return None
 
+    @property
+    def sampled_out(self) -> int:
+        """Spans discarded by the sampling decision (head + unretained)."""
+        return self._sampled_out + self._gate.skipped
+
+    def _gated_root_failed(self, exc: BaseException) -> None:
+        """Retain the root of a gated activation an exception escaped."""
+        stack, direction, caller, provider, sdu, sid, t0, w0 = self._gated_root
+        record = _span_record(
+            sid, None, stack, direction, caller, provider, sdu,
+            (t0, stack.clock.now(), w0, time.perf_counter()),
+        )
+        record["error"] = type(exc).__name__
+        record["retained"] = "error"
+        self.trace.log(SPAN_CATEGORY, **record)
+        self.retained["error"] += 1
+        self._sampled_out -= 1  # the root is kept after all
+
     def _finish_dropped_root(
         self, act: Activation, span: "_Span", wall_end: float
     ) -> None:
@@ -298,7 +365,7 @@ class SpanTracer:
             reason = "interest"
         if reason is None:
             buffered = len(act.buffer) if act.buffer is not None else 0
-            self.sampled_out += 1 + buffered + act.skipped
+            self._sampled_out += 1 + buffered + act.skipped
             return
         if act.buffer is not None:
             for record in act.buffer:
@@ -310,7 +377,7 @@ class SpanTracer:
         self.trace.log(SPAN_CATEGORY, **root_record)
         self.retained[reason] += 1
         # Skipped crossings (tail="root") are gone even when retained.
-        self.sampled_out += act.skipped
+        self._sampled_out += act.skipped
 
     # ------------------------------------------------------------------
     # Views

@@ -1,5 +1,7 @@
 """Tests for repro.core.bits."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -139,6 +141,62 @@ class TestPatterns:
         if len(n) == 0:
             return
         assert h.find(n) == h.to_string().find(n.to_string())
+
+
+class TestContract:
+    """What the rest of the program relies on, whatever the representation."""
+
+    @given(bit_lists)
+    def test_equal_and_hash_like_tuple(self, bits):
+        value = Bits(bits)
+        assert value == tuple(bits) and value == list(bits)
+        assert value == Bits(bytes(bits)) == Bits(bytearray(bits))
+        # Bits key the rule-search and model-checker tables, where they
+        # must be interchangeable with the equal tuples.
+        assert hash(value) == hash(tuple(bits))
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_rejects_non_bits_from_every_source(self, bad):
+        with pytest.raises(ValueError):
+            Bits([0, bad, 1])
+        if bad >= 0:
+            with pytest.raises(ValueError):
+                Bits(bytes([0, bad]))
+            with pytest.raises(ValueError):
+                Bits(bytearray([bad]))
+
+    def test_rejects_non_bits_in_concat(self):
+        with pytest.raises(ValueError):
+            Bits([1]) + [0, 2]
+        with pytest.raises(ValueError):
+            [3] + Bits([1])
+
+    def test_empty_conversions(self):
+        assert Bits.from_bytes(b"") == Bits() == ()
+        assert Bits.from_int(0, 0) == Bits()
+        assert Bits().to_bytes() == b""
+        assert Bits.from_string("") == Bits()
+
+    @given(bit_lists)
+    def test_pickle_roundtrip(self, bits):
+        value = Bits(bits)
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(value, protocol))
+            assert copy == value and hash(copy) == hash(value)
+            assert isinstance(copy, Bits)
+
+    def test_init_is_defined_on_the_class(self):
+        # The benchmark tracer counts allocations by wrapping it.
+        assert "__init__" in Bits.__dict__
+
+    def test_raw_is_one_byte_per_bit(self):
+        assert Bits.from_string("0110").raw == b"\x00\x01\x01\x00"
+
+    @given(st.binary(max_size=16))
+    def test_from_bytes_matches_per_bit_expansion(self, data):
+        expected = [(byte >> shift) & 1 for byte in data for shift in range(7, -1, -1)]
+        assert Bits.from_bytes(data) == expected
+        assert Bits.from_bytes(data).to_int() == int.from_bytes(data, "big")
 
 
 class TestEnumeration:

@@ -213,3 +213,38 @@ class TestSampledFastPath:
         # nothing recorded, but the skipped crossings were counted
         assert len(tracer) == 0
         assert tracer.sampled_out > 0
+
+    def test_gated_roots_count_like_span_roots(self):
+        """A dropped root nobody watches runs behind the skip gate with
+        no span object; it must account exactly like the span path a
+        never-moving ``retain`` watcher forces."""
+
+        def run(retain):
+            sim, a, b, _link = make_pair()
+            tracer = SpanTracer(sample=0.0, tail="root", retain=retain)
+            tracer.attach(a.stack).attach(b.stack)
+            transfer(sim, a, b, nbytes=4000)
+            return tracer
+
+        gated, spanned = run(None), run(lambda: 0)
+        assert gated.sampled_out == spanned.sampled_out > 0
+        assert len(gated) == len(spanned) == 0
+        assert gated._next_id == spanned._next_id
+        assert not gated._gate.dropping
+
+    def test_gated_root_error_is_retained_with_its_record(self):
+        sim, a, b, _link = make_pair()
+        tracer = SpanTracer(sample=0.0, tail="root")
+        tracer.attach(a.stack)
+        with pytest.raises(Exception) as excinfo:
+            a.stack.send(b"x")
+        assert not tracer._gate.dropping, "the hop must close the gate"
+        (root,) = tracer.spans()
+        assert root["parent"] is None and root["sid"] == 1
+        assert root["stack"] == "tcp:a" and root["direction"] == "down"
+        assert root["error"] == type(excinfo.value).__name__
+        assert root["retained"] == "error"
+        assert root["t0"] <= root["t1"] and root["w0"] <= root["w1"]
+        assert tracer.retained["error"] == 1
+        # The retained root is not sampled out; its skipped children are.
+        assert tracer.sampled_out == tracer._gate.skipped
