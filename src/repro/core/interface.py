@@ -3,23 +3,29 @@
 Test **T2** of the paper: "sublayers communicate with adjacent
 sublayers via a narrow interface".  Here an interface is a declared set
 of :class:`Primitive` operations; at stack-assembly time each
-declaration is bound to the providing sublayer as a :class:`BoundPort`,
-and every call through the port is logged.  That gives the litmus
-checker two measurable properties:
+declaration is bound to the providing sublayer as a :class:`BoundPort`.
+That gives the litmus checker two measurable properties:
 
 * **width** — the number of distinct primitives actually exercised (a
   "narrow" interface is one with few primitives carrying small values);
 * **adjacency** — a sublayer may only hold ports to its immediate
   neighbours; the stack never hands out a port that skips a sublayer.
 
-Calls through a port switch the instrumentation actor to the provider,
-so state mutations performed while servicing a request are attributed
-to the provider sublayer (its state, its responsibility), matching how
-the paper reasons about contracts.
+Ports and :class:`Notification` channels follow the stack's
+instrumentation tier the way data-path hops do.  Each primitive (and
+each notification handler) is bound once, when the stack wires its
+control plane:
 
-Every port call is also counted as a *sublayer crossing*, the quantity
-the tuning challenge (Section 5, challenge 3) says must be made cheap;
-the C3 benchmark reads these counters.
+* with an :class:`InterfaceLog` (the ``full`` tier) the binding is a
+  logging invoker: it records one :class:`InterfaceCall` — a *sublayer
+  crossing*, the quantity the tuning challenge (Section 5, challenge 3)
+  says must be made cheap — and runs the handler under
+  :func:`~repro.core.instrument.acting_as` for the sublayer that owns
+  it, so state mutations performed while servicing a request are
+  attributed to the provider (its state, its responsibility);
+* without a log (the ``metrics`` and ``off`` tiers) the binding *is*
+  the provider's own bound ``srv_*`` method, or the user's own
+  ``nf_*`` handler: no record, no context switch.
 """
 
 from __future__ import annotations
@@ -113,13 +119,11 @@ class InterfaceLog:
 class NullInterfaceLog(InterfaceLog):
     """An interface log that records nothing and reports zero.
 
-    Installed by the ``metrics`` and ``off`` wiring tiers so ports,
-    notifications, and hops can keep calling ``log.record(...)``
-    unconditionally while the per-crossing allocation and append
-    disappear.  Unlike ``InterfaceLog(enabled=False)``, ``record`` here
-    does not even build the :class:`InterfaceCall` it ignores — callers
-    that know they hold a null log (the compiled hops) skip the whole
-    expression.
+    A stack at the ``metrics`` or ``off`` tier exposes one as its
+    ``interface_log``, so readers of the log see zero crossings.
+    Nothing records into it: below ``full`` the compiled hops, ports
+    and notifications are bound without a log and never build an
+    :class:`InterfaceCall` in the first place.
     """
 
     def __init__(self) -> None:
@@ -132,13 +136,35 @@ class NullInterfaceLog(InterfaceLog):
         return 0
 
 
+def _logged(
+    log: InterfaceLog,
+    interface: str,
+    primitive: str,
+    caller: str,
+    provider: str,
+    handler: Callable[..., Any],
+) -> Callable[..., Any]:
+    """``handler`` wrapped to record each call and run as ``provider``."""
+
+    def invoke(*args: Any, **kwargs: Any) -> Any:
+        arg_count = len(args) + len(kwargs)
+        log.record(InterfaceCall(interface, primitive, caller, provider, arg_count))
+        with acting_as(provider):
+            return handler(*args, **kwargs)
+
+    invoke.__name__ = primitive
+    return invoke
+
+
 class BoundPort:
     """A caller's handle on a provider's service interface.
 
     Primitive ``p`` is invoked as ``port.p(*args, **kwargs)`` and
-    dispatches to the provider method ``srv_p``.  The call runs with the
-    provider as the instrumentation actor and is recorded in the
-    interface log.
+    dispatches to the provider method ``srv_p``.  Every primitive is
+    bound once, here: with a ``log`` the call is recorded and runs with
+    the provider as the instrumentation actor; with ``log=None`` it is
+    the provider's bound ``srv_p`` itself.  Naming a primitive the
+    interface does not declare raises :class:`ConfigurationError`.
     """
 
     def __init__(
@@ -147,19 +173,24 @@ class BoundPort:
         provider: Any,
         provider_name: str,
         caller_name: str,
-        log: InterfaceLog,
+        log: InterfaceLog | None,
     ):
         self._interface = interface
-        self._provider = provider
         self._provider_name = provider_name
         self._caller_name = caller_name
-        self._log = log
         for primitive in interface.primitives:
-            if not callable(getattr(provider, f"srv_{primitive.name}", None)):
+            handler = getattr(provider, f"srv_{primitive.name}", None)
+            if not callable(handler):
                 raise ConfigurationError(
                     f"{provider_name!r} declares primitive {primitive.name!r} "
                     f"but does not implement srv_{primitive.name}"
                 )
+            if log is not None:
+                handler = _logged(
+                    log, interface.name, primitive.name,
+                    caller_name, provider_name, handler,
+                )
+            setattr(self, primitive.name, handler)
 
     @property
     def interface(self) -> ServiceInterface:
@@ -170,28 +201,11 @@ class BoundPort:
         return self._provider_name
 
     def __getattr__(self, name: str) -> Callable[..., Any]:
-        if not self._interface.has(name):
-            raise ConfigurationError(
-                f"interface {self._interface.name!r} has no primitive {name!r} "
-                f"(caller {self._caller_name!r})"
-            )
-        handler = getattr(self._provider, f"srv_{name}")
-
-        def invoke(*args: Any, **kwargs: Any) -> Any:
-            self._log.record(
-                InterfaceCall(
-                    interface=self._interface.name,
-                    primitive=name,
-                    caller=self._caller_name,
-                    provider=self._provider_name,
-                    arg_count=len(args) + len(kwargs),
-                )
-            )
-            with acting_as(self._provider_name):
-                return handler(*args, **kwargs)
-
-        invoke.__name__ = name
-        return invoke
+        # Only reached for names __init__ did not bind: undeclared ones.
+        raise ConfigurationError(
+            f"interface {self._interface.name!r} has no primitive {name!r} "
+            f"(caller {self._caller_name!r})"
+        )
 
     def __repr__(self) -> str:
         return (
@@ -205,16 +219,17 @@ class Notification:
 
     Data and events flow *up* as well as down (acks arriving at RD must
     reach OSR).  A provider sublayer fires notifications; the user
-    sublayer registers a handler at wiring time.  Calls are logged like
-    port calls, with the roles reversed, and run with the *user* as the
-    instrumentation actor.
+    sublayer registers a handler at wiring time.  :meth:`connect` binds
+    ``fire`` once, like a port primitive with the roles reversed: with
+    a ``log`` each call is recorded and runs with the *user* as the
+    instrumentation actor; with ``log=None`` ``fire`` is the handler.
     """
 
     def __init__(
         self,
         name: str,
         provider_name: str,
-        log: InterfaceLog,
+        log: InterfaceLog | None,
     ):
         self.name = name
         self._provider_name = provider_name
@@ -229,22 +244,17 @@ class Notification:
             )
         self._user_name = user_name
         self._handler = handler
+        if self._log is not None:
+            handler = _logged(
+                self._log, f"notify:{self.name}", self.name,
+                self._provider_name, user_name, handler,
+            )
+        self.fire = handler  # type: ignore[method-assign]
 
     @property
     def connected(self) -> bool:
         return self._handler is not None
 
     def fire(self, *args: Any, **kwargs: Any) -> Any:
-        if self._handler is None:
-            return None
-        self._log.record(
-            InterfaceCall(
-                interface=f"notify:{self.name}",
-                primitive=self.name,
-                caller=self._provider_name,
-                provider=self._user_name or "?",
-                arg_count=len(args) + len(kwargs),
-            )
-        )
-        with acting_as(self._user_name or "?"):
-            return self._handler(*args, **kwargs)
+        """Deliver an event; a no-op until :meth:`connect` rebinds it."""
+        return None

@@ -12,7 +12,9 @@ and wires each to exactly its neighbours:
 * control: each sublayer gets one :class:`BoundPort` onto the service
   interface of the sublayer directly below (T2), and the stack
   auto-connects a lower sublayer's notifications to ``nf_<channel>``
-  methods on the sublayer immediately above.
+  methods on the sublayer immediately above.  Ports and notifications
+  are bound at the stack's tier: logged and actor-switched at ``full``,
+  plain method references below it.
 
 The data-path hops themselves are *compiled*, not interpreted: a
 :class:`repro.core.wiring.WiringPlan` builds one closure per hop at an
@@ -204,9 +206,11 @@ class Stack:
         """Switch instrumentation tier in place and recompile the hops.
 
         Swaps the access/interface logs between the real instances
-        (``full``) and null implementations (``metrics``/``off``) in
-        every state container, notification, and port, then recompiles
-        the wiring plan.  Hop counters are preserved across switches.
+        (``full``) and null implementations (``metrics``/``off``),
+        points every state container at the new access log, rebinds the
+        control plane (ports and notifications follow the tier) and
+        recompiles the wiring plan.  Hop counters are preserved across
+        switches.
         """
         validate_tier(tier)
         if tier == self._tier:
@@ -220,10 +224,7 @@ class Stack:
             self.interface_log = self._null_interface_log
         for sublayer in self.sublayers:
             sublayer.state._log = self.access_log
-            for notification in sublayer.notifications.values():
-                notification._log = self.interface_log
-            if sublayer.below is not None:
-                sublayer.below._log = self.interface_log
+        self._wire_control()
         self._plan.tier = tier
         self._plan.compile()
         return self
@@ -252,16 +253,22 @@ class Stack:
     def _wire_control(self) -> None:
         """(Re)build the control plane: service ports + notifications.
 
+        Both follow the tier: at ``full`` every primitive and handler is
+        bound to a logging invoker that runs under ``acting_as``; at
+        ``metrics`` and ``off`` they are bound to the provider's and the
+        user's own methods, with no log at all.
+
         Control wiring is computed over the *opaque* sublayers only:
         a :attr:`Sublayer.TRANSPARENT` sublayer sits on the data path
         but offers no service and fires no notifications, so the
         sublayers around it stay control-adjacent — inserting one must
         not sever an existing port binding or notification connection.
         """
+        log = self.interface_log if self._tier == TIER_FULL else None
         for sublayer in self.sublayers:
             sublayer.below = None
             sublayer.notifications = {
-                channel: Notification(channel, sublayer.name, self.interface_log)
+                channel: Notification(channel, sublayer.name, log)
                 for channel in sublayer.NOTIFICATIONS
             }
 
@@ -276,7 +283,7 @@ class Stack:
                     below,
                     below.name,
                     sublayer.name,
-                    self.interface_log,
+                    log,
                 )
             self._connect_notifications(user=sublayer, provider=below)
 

@@ -39,6 +39,13 @@ needs — at any tier.  Detaching recompiles back down.  This is the
 measure-everything-but-pay-only-when-watching discipline: the
 architecture is identical at every tier (same sublayers, same headers,
 same virtual-time behaviour); only per-crossing host work changes.
+
+The control plane follows the same tier.  The stack binds each service
+port primitive and each notification handler once, when it wires the
+control plane (:mod:`repro.core.interface`): a logging, actor-switching
+invoker at ``full``, the provider's or user's own bound method at
+``metrics`` and ``off``.  :meth:`~repro.core.stack.Stack.set_tier`
+rewires the control plane along with recompiling this plan.
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ class NodeTransfer:
                 next_hop, IntervalSet.empty()
             ).union(IntervalSet.of(dst))
         #: Next hops the node can actually reach (live adjacency) —
-        #: the static mirror of ``resolve_interface`` returning None.
+        #: the static mirror of forwarding's ``interface_for`` returning None.
         self.resolvable = frozenset(self.groups) & neighbors
         self.unresolvable = frozenset(self.groups) - neighbors
         self.routed: IntervalSet = IntervalSet.empty()

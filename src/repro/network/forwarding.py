@@ -3,20 +3,21 @@
 "The path of a data packet passes directly from forwarding to the next
 hop Data Link.  However, the forwarding database is itself built using
 routing."  The FIB here is exactly that database: route computation
-pushes ``{destination: next_hop}`` maps in through
-:meth:`ForwardingSublayer.install`, and the per-packet fast path reads
-only the FIB — never the routing tables, never the neighbor state
-(T3).  Next-hop-to-interface resolution is control information that
-flows in from neighbor determination at install time, mirroring the
-dashed control arrows of Fig 3 that bypass intermediate sublayers.
+pushes ``{destination: next_hop}`` maps in through the ``routes``
+notification (:meth:`ForwardingSublayer.nf_routes`), and the
+per-packet fast path reads only the FIB — never the routing tables,
+never the neighbor state (T3).  Next-hop-to-interface resolution is
+control information owned by neighbor determination; forwarding asks
+for it through its port (``self.below.interface_for``), which route
+computation's one-primitive service passes through, and hands the
+packet down with ``interface=i`` in hop meta.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any
 
-from ..core.instrument import AccessLog, InstrumentedState
-from ..core.metrics import MetricsSink, scoped
+from ..core.sublayer import Sublayer
 from .packets import Address, DataPacket
 
 #: Metric aliases shared with the symbolic flow analyzer: the runtime
@@ -27,90 +28,73 @@ TTL_EXPIRED = "ttl_expired"
 NO_ROUTE = "no_route"
 
 
-class ForwardingSublayer:
+class ForwardingSublayer(Sublayer):
     """FIB lookup, TTL handling, local delivery."""
 
-    def __init__(
-        self,
-        address: Address,
-        send_on_interface: Callable[[int, DataPacket], None],
-        resolve_interface: Callable[[Address], int | None],
-        access_log: AccessLog | None = None,
-        metrics: MetricsSink | None = None,
-    ):
+    def __init__(self, address: Address):
+        super().__init__("forwarding")
         self.address = address
-        self._send = send_on_interface
-        self._resolve_interface = resolve_interface
-        # Scope our own names (the sim.link pattern): callers hand in the
-        # raw sink and counters land at ``forwarding/<addr>/...``.
-        self.metrics = scoped(metrics, f"forwarding/{address}")
-        self.state = InstrumentedState(
-            "forwarding",
-            log=access_log,
-            fib={},
-            forwarded=0,
-            delivered=0,
-            dropped_no_route=0,
-            dropped_ttl=0,
-            dropped_no_interface=0,
-        )
-        self.on_deliver: Callable[[DataPacket], None] | None = None
+
+    def on_attach(self) -> None:
+        self.state.fib = {}
+        self.state.forwarded = 0
+        self.state.delivered = 0
+        self.state.dropped_no_route = 0
+        self.state.dropped_ttl = 0
+        self.state.dropped_no_interface = 0
+
+    def clone_fresh(self) -> ForwardingSublayer:
+        return type(self)(self.address)
 
     #: Drops that dual-count under the flow analyzer's drop-kind names.
     _ALIASES = {"dropped_ttl": TTL_EXPIRED, "dropped_no_route": NO_ROUTE}
 
-    def _count(self, field: str) -> None:
-        """State counter + metrics mirror (same pattern as Sublayer.count)."""
-        setattr(self.state, field, getattr(self.state, field) + 1)
-        self.metrics.inc(field)
+    def count(self, field: str, by: int = 1) -> None:
+        super().count(field, by)
         alias = self._ALIASES.get(field)
         if alias is not None:
-            self.metrics.inc(alias)
+            self.metrics.inc(alias, by)
 
     # ------------------------------------------------------------------
-    def install(self, routes: dict[Address, Address]) -> None:
-        """The narrow downward-facing interface from route computation."""
+    def nf_routes(self, routes: dict[Address, Address]) -> None:
+        """The narrow interface from route computation: a new FIB."""
         self.state.fib = dict(routes)
 
     def fib(self) -> dict[Address, Address]:
         return dict(self.state.fib)
 
     # ------------------------------------------------------------------
-    def forward(self, packet: DataPacket) -> None:
-        """The per-packet fast path."""
+    # Data path: originate from the application, forward from below.
+    # ------------------------------------------------------------------
+    def from_above(self, packet: DataPacket, **meta: Any) -> None:
+        self.originate(packet)
+
+    def from_below(self, packet: DataPacket, **meta: Any) -> None:
+        self.forward(packet)
+
+    # ------------------------------------------------------------------
+    def forward(self, packet: DataPacket, originated: bool = False) -> None:
+        """The per-packet fast path; ``originated`` packets skip the TTL step."""
         if packet.dst == self.address:
-            self._count("delivered")
-            if self.on_deliver is not None:
-                self.on_deliver(packet)
+            self.count("delivered")
+            self.deliver_up(packet)
             return
         next_hop = self.state.fib.get(packet.dst)
         if next_hop is None:
-            self._count("dropped_no_route")
+            self.count("dropped_no_route")
             return
-        if packet.ttl <= 1:
-            self._count("dropped_ttl")
+        if not originated and packet.ttl <= 1:
+            self.count("dropped_ttl")
             return
-        interface = self._resolve_interface(next_hop)
+        interface = self.below.interface_for(next_hop)
         if interface is None:
-            self._count("dropped_no_interface")
+            self.count("dropped_no_interface")
             return
-        self._count("forwarded")
-        self._send(interface, packet.decremented())
+        self.count("forwarded")
+        self.send_down(
+            packet if originated else packet.decremented(), interface=interface
+        )
 
     def originate(self, packet: DataPacket) -> None:
         """Send a locally-generated packet (no TTL decrement at source)."""
-        if packet.dst == self.address:
-            self._count("delivered")
-            if self.on_deliver is not None:
-                self.on_deliver(packet)
-            return
-        next_hop = self.state.fib.get(packet.dst)
-        if next_hop is None:
-            self._count("dropped_no_route")
-            return
-        interface = self._resolve_interface(next_hop)
-        if interface is None:
-            self._count("dropped_no_interface")
-            return
-        self._count("forwarded")
-        self._send(interface, packet)
+        self.forward(packet, originated=True)

@@ -1,20 +1,14 @@
 """A router: the three network sublayers composed per Fig 4.
 
-Information flows exactly along the figure's arrows:
-
-* neighbor determination hears hellos and tells route computation
-  about neighbor up/down through one narrow interface;
-* route computation exchanges its own control packets (DV updates or
-  LSPs — *different packets* from data, per T3) and pushes
-  ``{dst: next_hop}`` into the forwarding database;
-* forwarding moves data packets using only the FIB.
-
-Every sublayer callback runs under
-:func:`~repro.core.instrument.acting_as`, so the shared
-:class:`~repro.core.instrument.AccessLog` shows which sublayer touched
-which state — the evidence for the F3 litmus checks — and the three
-narrow interfaces are recorded in an
-:class:`~repro.core.interface.InterfaceLog`.
+The router is one :class:`~repro.core.stack.Stack`, top to bottom
+forwarding > routing > neighbor, so tiers, taps, spans and the litmus
+checks come from the same engine as every other stack.  Information
+flows along the figure's arrows: neighbor determination tells route
+computation about neighbor up/down, route computation pushes
+``{dst: next_hop}`` into the forwarding database (both notifications),
+and forwarding moves data packets using only the FIB.  The interface
+index rides in hop ``meta``: ``receive(pkt, interface=i)`` up from the
+wire, ``on_transmit(pkt, interface=i)`` down to it.
 """
 
 from __future__ import annotations
@@ -22,12 +16,13 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..core.clock import Clock
-from ..core.instrument import AccessLog, acting_as
-from ..core.interface import InterfaceCall, InterfaceLog
+from ..core.instrument import AccessLog
+from ..core.interface import InterfaceLog
 from ..core.metrics import scoped
+from ..core.stack import Stack
 from .forwarding import ForwardingSublayer
 from .neighbor import NeighborSublayer
-from .packets import Address, ControlPacket, DataPacket, Hello, Packet
+from .packets import Address, DataPacket, Packet
 from .routing.base import RouteComputation
 from .routing.link_state import LinkState
 
@@ -55,81 +50,41 @@ class Router:
         hello_interval: float = 1.0,
         dead_interval: float = 3.5,
         access_log: AccessLog | None = None,
-        interface_log: InterfaceLog | None = None,
         metrics: Any | None = None,
         **routing_kwargs: Any,
     ):
         self.address = address
-        self.clock = clock
-        self.access_log = access_log if access_log is not None else AccessLog()
-        self.metrics = metrics
-        self.interface_log = (
-            interface_log if interface_log is not None else InterfaceLog()
-        )
         self.interfaces: list[Interface] = []
         self._routing_cls = routing_cls
-        self._routing_kwargs = routing_kwargs
 
         self.neighbor = NeighborSublayer(
-            address,
-            clock,
-            self._send_control_on_interface,
-            interface_count=0,  # updated as interfaces attach
-            hello_interval=hello_interval,
-            dead_interval=dead_interval,
-            access_log=self.access_log,
+            address, hello_interval=hello_interval, dead_interval=dead_interval
         )
-        self.routing = routing_cls(
-            address,
-            clock,
-            self._send_control_to_neighbor,
-            access_log=self.access_log,
-            metrics=scoped(metrics, f"router:{address}/routing"),
-            **routing_kwargs,
-        )
-        self.forwarding = ForwardingSublayer(
-            address,
-            self._send_data_on_interface,
-            self._resolve_interface,
-            access_log=self.access_log,
-            # Raw sink: the sublayer scopes itself as forwarding/<addr>/
-            # (the sim.link pattern), so drop counters line up with the
-            # flow analyzer's drop-kind names.
+        self.routing = routing_cls(address, **routing_kwargs)
+        self.forwarding = ForwardingSublayer(address)
+        self.stack = Stack(
+            f"router:{address}",
+            [self.forwarding, self.routing, self.neighbor],
+            clock=clock,
+            access_log=access_log,
             metrics=metrics,
         )
-        self._wire_interfaces_between_sublayers()
+        # Forwarding counts at forwarding/<addr>/ (the sim.link pattern),
+        # so drop counters line up with the flow analyzer's drop kinds.
+        self.forwarding.metrics = scoped(metrics, f"forwarding/{address}")
+        self.stack.on_transmit = self._transmit
+        self.stack.on_deliver = self._deliver_local
         self.on_deliver: Callable[[DataPacket], None] | None = None
-        self.forwarding.on_deliver = self._deliver_local
 
-    # ------------------------------------------------------------------
-    # Narrow inter-sublayer interfaces (logged, actor-switched)
-    # ------------------------------------------------------------------
-    def _wire_interfaces_between_sublayers(self) -> None:
-        def neighbor_up(addr: Address, interface: int, cost: int) -> None:
-            self._log_call("neighbor-service", "neighbor_up", "neighbor", "routing", 3)
-            with acting_as("routing"):
-                self.routing.neighbor_up(addr, interface, cost)
+    @property
+    def access_log(self) -> AccessLog:
+        """The stack's state-access log (a null log below ``full``)."""
+        return self.stack.access_log
 
-        def neighbor_down(addr: Address) -> None:
-            self._log_call("neighbor-service", "neighbor_down", "neighbor", "routing", 1)
-            with acting_as("routing"):
-                self.routing.neighbor_down(addr)
-
-        def install(routes: dict[Address, Address]) -> None:
-            self._log_call("routing-service", "install_routes", "routing", "forwarding", 1)
-            with acting_as("forwarding"):
-                self.forwarding.install(routes)
-
-        self.neighbor.on_neighbor_up = neighbor_up
-        self.neighbor.on_neighbor_down = neighbor_down
-        self.routing.install_routes = install
-
-    def _log_call(
-        self, interface: str, primitive: str, caller: str, provider: str, args: int
-    ) -> None:
-        self.interface_log.record(
-            InterfaceCall(interface, primitive, caller, provider, args)
-        )
+    @property
+    def interface_log(self) -> InterfaceLog:
+        """The stack's interface log (a null log below ``full``)."""
+        return self.stack.interface_log
 
     # ------------------------------------------------------------------
     # Plumbing toward the links
@@ -140,71 +95,23 @@ class Router:
         self.neighbor.interface_count = len(self.interfaces)
         return interface
 
-    def _send_control_on_interface(self, index: int, packet: ControlPacket) -> None:
-        self.interfaces[index].transmit(packet)
-
-    def _send_control_to_neighbor(
-        self, neighbor: Address, packet: ControlPacket
-    ) -> None:
-        index = self._neighbor_interface_lookup("routing", neighbor)
-        if index is not None:
-            self.interfaces[index].transmit(packet)
-
-    def _send_data_on_interface(self, index: int, packet: DataPacket) -> None:
-        self.interfaces[index].transmit(packet)
-
-    def _resolve_interface(self, next_hop: Address) -> int | None:
-        # Control information flowing from neighbor determination to the
-        # data plane at lookup time (the Fig 3 bypass arrows).  The
-        # lookup is a *service call* on the neighbor sublayer — logged,
-        # and executed as the neighbor sublayer — so T3 state ownership
-        # holds even for this bypass.
-        return self._neighbor_interface_lookup("forwarding", next_hop)
-
-    def _neighbor_interface_lookup(self, caller: str, addr: Address) -> int | None:
-        self._log_call("neighbor-service", "interface_for", caller, "neighbor", 1)
-        with acting_as("neighbor"):
-            return self.neighbor.interface_for(addr)
+    def _transmit(self, packet: Packet, interface: int) -> None:
+        self.interfaces[interface].transmit(packet)
 
     def _deliver_local(self, packet: DataPacket) -> None:
         if self.on_deliver is not None:
             self.on_deliver(packet)
 
-    # ------------------------------------------------------------------
-    # Per-packet dispatch: each packet kind belongs to one sublayer (T3).
-    # ------------------------------------------------------------------
     def receive(self, packet: Packet, interface: int) -> None:
-        if isinstance(packet, Hello):
-            with acting_as("neighbor"):
-                self.neighbor.on_hello(interface, packet)
-        elif isinstance(packet, DataPacket):
-            with acting_as("forwarding"):
-                self.forwarding.forward(packet)
-        elif packet.kind in self.routing.CONTROL_KINDS:
-            sender = self._neighbor_on_interface(interface)
-            if sender is None:
-                return  # control from a not-yet-discovered neighbor
-            with acting_as("routing"):
-                self.routing.on_control(packet, from_neighbor=sender)
-
-    def _neighbor_on_interface(self, interface: int) -> Address | None:
-        with acting_as("neighbor"):
-            for addr, entry in self.neighbor.state.snapshot()["entries"].items():
-                if entry.interface == interface:
-                    return addr
-        return None
+        self.stack.receive(packet, interface=interface)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        with acting_as("neighbor"):
-            self.neighbor.start()
-        with acting_as("routing"):
-            self.routing.start()
+        self.neighbor.start()
+        self.routing.start()
 
     def send_data(self, dst: Address, payload: Any, **header: Any) -> None:
-        packet = DataPacket.make(self.address, dst, payload, **header)
-        with acting_as("forwarding"):
-            self.forwarding.originate(packet)
+        self.stack.send(DataPacket.make(self.address, dst, payload, **header))
 
     def routes(self) -> dict[Address, Address]:
         return self.routing.routes()

@@ -7,71 +7,85 @@ forwarding" (Section 2.2).  :class:`RouteComputation` is the shape
 both algorithms implement; its entire surface toward the rest of the
 router is:
 
-* downward: neighbor up/down events in, control packets out/in on the
-  data link;
-* upward: :attr:`install_routes` — push ``{destination: next_hop}``
-  into the forwarding database.
+* downward: the ``nf_neighbor_up``/``nf_neighbor_down`` notifications
+  in, control packets out with ``neighbor=addr`` hop meta and in with
+  ``interface=i`` (the sender is named by the neighbor sublayer's
+  ``neighbor_on`` primitive);
+* upward: the ``routes`` notification — the full ``{destination:
+  next_hop}`` map pushed into the forwarding database on every change
+  — and the ``routing-service``, whose one primitive passes
+  forwarding's next-hop-to-interface lookup through to the neighbor
+  sublayer, so no interaction skips a sublayer.
 
-The F3 swap benchmark replaces one subclass with the other and checks
-the forwarding sublayer is bit-for-bit untouched.
+Data packets pass through in both directions.  The F3 swap benchmark
+replaces one subclass with the other and checks the forwarding
+sublayer is bit-for-bit untouched.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any
 
-from ...core.clock import Clock
-from ...core.instrument import AccessLog, InstrumentedState
-from ...core.metrics import NULL_METRICS, MetricsSink
-from ..packets import Address, ControlPacket
+from ...core.interface import Primitive, ServiceInterface
+from ...core.sublayer import Sublayer
+from ..packets import Address, ControlPacket, Packet
 
 
-class RouteComputation:
+class RouteComputation(Sublayer):
     """Base class for routing algorithms."""
 
+    SERVICE = ServiceInterface(
+        "routing-service",
+        [Primitive("interface_for", "the interface a next hop is reached on")],
+    )
+    NOTIFICATIONS = ("routes",)
     #: Which control-packet kinds this algorithm consumes (T3 check).
     CONTROL_KINDS: tuple[str, ...] = ()
+    #: The algorithm's registry name; every instance is the stack's
+    #: ``routing`` sublayer, whichever algorithm it runs.
     name = "abstract"
 
-    def __init__(
-        self,
-        address: Address,
-        clock: Clock,
-        send_to_neighbor: Callable[[Address, ControlPacket], None],
-        access_log: AccessLog | None = None,
-        metrics: MetricsSink | None = None,
-    ):
+    def __init__(self, address: Address):
+        super().__init__("routing")
         self.address = address
-        self.clock = clock
-        self._send_to_neighbor = send_to_neighbor
-        self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.state = InstrumentedState(
-            "routing", log=access_log, routes={}, updates_sent=0, updates_received=0
-        )
-        #: The narrow upward interface: forwarding registers a callback
-        #: that receives the full {dst: next_hop} map on every change.
-        self.install_routes: Callable[[dict[Address, Address]], None] | None = None
         self._started = False
 
-    def _count(self, field: str) -> None:
-        """State counter + metrics mirror (same pattern as Sublayer.count)."""
-        setattr(self.state, field, getattr(self.state, field) + 1)
-        self.metrics.inc(field)
+    def on_attach(self) -> None:
+        self.state.routes = {}
+        self.state.updates_sent = 0
+        self.state.updates_received = 0
+
+    def clone_fresh(self) -> RouteComputation:
+        return type(self)(self.address)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Begin periodic duties (advertisements, refreshes)."""
         self._started = True
 
-    def neighbor_up(self, neighbor: Address, interface: int, cost: int) -> None:
+    def nf_neighbor_up(self, neighbor: Address, interface: int, cost: int) -> None:
         raise NotImplementedError
 
-    def neighbor_down(self, neighbor: Address) -> None:
+    def nf_neighbor_down(self, neighbor: Address) -> None:
         raise NotImplementedError
 
     def on_control(self, packet: ControlPacket, from_neighbor: Address) -> None:
         """A control packet of one of our CONTROL_KINDS arrived."""
         raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Data path: our own control packets stop here, data passes through.
+    # ------------------------------------------------------------------
+    def from_below(self, packet: Packet, interface: int, **meta: Any) -> None:
+        if packet.kind in self.CONTROL_KINDS:
+            sender = self.below.neighbor_on(interface)
+            if sender is not None:  # else: not-yet-discovered neighbor
+                self.on_control(packet, from_neighbor=sender)
+        elif packet.kind == "data":
+            self.deliver_up(packet)
+
+    def srv_interface_for(self, next_hop: Address) -> int | None:
+        return self.below.interface_for(next_hop)
 
     # ------------------------------------------------------------------
     def routes(self) -> dict[Address, Address]:
@@ -83,5 +97,4 @@ class RouteComputation:
         if routes == self.state.routes:
             return
         self.state.routes = routes
-        if self.install_routes is not None:
-            self.install_routes(dict(routes))
+        self.notify("routes", dict(routes))

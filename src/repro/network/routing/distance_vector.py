@@ -19,12 +19,18 @@ class DistanceVector(RouteComputation):
     CONTROL_KINDS = ("dv",)
     name = "distance-vector"
 
-    def __init__(self, *args, advertise_interval: float = 1.0, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, address: Address, advertise_interval: float = 1.0):
+        super().__init__(address)
         self.advertise_interval = advertise_interval
+
+    def on_attach(self) -> None:
+        super().on_attach()
         # distance table: dst -> (cost, next_hop); self at cost 0
         self.state.table = {self.address: (0, self.address)}
         self.state.neighbor_costs = {}
+
+    def clone_fresh(self) -> DistanceVector:
+        return type(self)(self.address, advertise_interval=self.advertise_interval)
 
     def start(self) -> None:
         if self._started:
@@ -37,7 +43,7 @@ class DistanceVector(RouteComputation):
         self.clock.call_later(self.advertise_interval, self._tick)
 
     # ------------------------------------------------------------------
-    def neighbor_up(self, neighbor: Address, interface: int, cost: int) -> None:
+    def nf_neighbor_up(self, neighbor: Address, interface: int, cost: int) -> None:
         costs = dict(self.state.neighbor_costs)
         costs[neighbor] = cost
         self.state.neighbor_costs = costs
@@ -49,7 +55,7 @@ class DistanceVector(RouteComputation):
         self._recompute_routes()
         self._advertise()
 
-    def neighbor_down(self, neighbor: Address) -> None:
+    def nf_neighbor_down(self, neighbor: Address) -> None:
         costs = dict(self.state.neighbor_costs)
         costs.pop(neighbor, None)
         self.state.neighbor_costs = costs
@@ -66,7 +72,7 @@ class DistanceVector(RouteComputation):
     def on_control(self, packet: ControlPacket, from_neighbor: Address) -> None:
         if not isinstance(packet, DvUpdate):
             return
-        self._count("updates_received")
+        self.count("updates_received")
         link_cost = self.state.neighbor_costs.get(from_neighbor)
         if link_cost is None:
             return  # not (yet) a live neighbor
@@ -98,9 +104,9 @@ class DistanceVector(RouteComputation):
                       else cost)
                 for dst, (cost, hop) in table.items()
             }
-            self._count("updates_sent")
-            self._send_to_neighbor(
-                neighbor, DvUpdate(src=self.address, distances=distances)
+            self.count("updates_sent")
+            self.send_down(
+                DvUpdate(src=self.address, distances=distances), neighbor=neighbor
             )
 
     def _recompute_routes(self) -> None:

@@ -22,12 +22,18 @@ class LinkState(RouteComputation):
     CONTROL_KINDS = ("lsp",)
     name = "link-state"
 
-    def __init__(self, *args, refresh_interval: float = 5.0, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, address: Address, refresh_interval: float = 5.0):
+        super().__init__(address)
         self.refresh_interval = refresh_interval
+
+    def on_attach(self) -> None:
+        super().on_attach()
         self.state.neighbor_costs = {}
         self.state.lsdb = {}   # origin -> Lsp
         self.state.seq = 0
+
+    def clone_fresh(self) -> LinkState:
+        return type(self)(self.address, refresh_interval=self.refresh_interval)
 
     def start(self) -> None:
         if self._started:
@@ -40,13 +46,13 @@ class LinkState(RouteComputation):
         self.clock.call_later(self.refresh_interval, self._tick)
 
     # ------------------------------------------------------------------
-    def neighbor_up(self, neighbor: Address, interface: int, cost: int) -> None:
+    def nf_neighbor_up(self, neighbor: Address, interface: int, cost: int) -> None:
         costs = dict(self.state.neighbor_costs)
         costs[neighbor] = cost
         self.state.neighbor_costs = costs
         self._originate()
 
-    def neighbor_down(self, neighbor: Address) -> None:
+    def nf_neighbor_down(self, neighbor: Address) -> None:
         costs = dict(self.state.neighbor_costs)
         costs.pop(neighbor, None)
         self.state.neighbor_costs = costs
@@ -65,7 +71,7 @@ class LinkState(RouteComputation):
     def on_control(self, packet: ControlPacket, from_neighbor: Address) -> None:
         if not isinstance(packet, Lsp):
             return
-        self._count("updates_received")
+        self.count("updates_received")
         self._accept(packet, flood_from=from_neighbor)
 
     def _accept(self, lsp: Lsp, flood_from: Address | None) -> None:
@@ -78,8 +84,8 @@ class LinkState(RouteComputation):
         for neighbor in self.state.neighbor_costs:
             if neighbor == flood_from:
                 continue
-            self._count("updates_sent")
-            self._send_to_neighbor(neighbor, lsp)
+            self.count("updates_sent")
+            self.send_down(lsp, neighbor=neighbor)
         self._recompute_routes()
 
     # ------------------------------------------------------------------

@@ -45,6 +45,7 @@ BASE_CLASSES = {
     "MacSublayerBase",
     "ShimSublayer",
     "FaultSublayer",
+    "RouteComputation",
 }
 
 
@@ -59,6 +60,9 @@ def build_cases() -> dict[type[Sublayer], Sublayer]:
     from repro.datalink.framing.sublayers import FlagSublayer, StuffingSublayer
     from repro.datalink.mac import ChannelView, CsmaMac, PureAlohaMac
     from repro.faults.schedule import FaultSchedule
+    from repro.network.forwarding import ForwardingSublayer
+    from repro.network.neighbor import NeighborSublayer
+    from repro.network.routing import DistanceVector, LinkState
     from repro.faults.sublayers import (
         CorruptBitsFault,
         DelayFault,
@@ -144,6 +148,12 @@ def build_cases() -> dict[type[Sublayer], Sublayer]:
             max_handshake_retries=3, cc_factory=cc_factory, rng=rng,
         ),
         RecordSublayer("rec"),
+        NeighborSublayer(
+            address=5, interface_count=3, hello_interval=0.4, dead_interval=1.7
+        ),
+        DistanceVector(address=6, advertise_interval=0.6),
+        LinkState(address=7, refresh_interval=2.5),
+        ForwardingSublayer(address=8),
         CmSublayer("cm", isn_scheme=isn, handshake_timeout=0.7, max_retries=4),
         TimerCmSublayer(
             "tcm", isn_scheme=isn, handshake_timeout=0.8,

@@ -26,6 +26,8 @@ from repro.core import (
     TIERS,
     TapList,
 )
+from repro.core.instrument import current_actor
+from repro.core.interface import Primitive, ServiceInterface
 
 
 def chain(tier="full", depth=3, **kwargs):
@@ -276,6 +278,72 @@ class TestSetTier:
         with pytest.raises(ConfigurationError):
             stack.set_tier("loud")
         assert stack.set_tier("off") is stack  # no-op returns self
+
+
+class Provider(Sublayer):
+    """Offers one primitive and fires one notification."""
+
+    SERVICE = ServiceInterface("svc", [Primitive("ask")])
+    NOTIFICATIONS = ("event",)
+
+    def srv_ask(self, value):
+        self.state.asked = current_actor()
+        return value + 1
+
+
+class User(Sublayer):
+    """Calls down through its port and hears the provider's event."""
+
+    def nf_event(self, value):
+        self.state.heard = (value, current_actor())
+
+
+class TestControlPlaneTiers:
+    """Ports and notifications follow the tier the way hops do."""
+
+    def control(self, tier):
+        user, provider = User("user"), Provider("provider")
+        stack = Stack("c", [user, provider], tier=tier)
+        return stack, user, provider
+
+    @pytest.mark.parametrize("tier", ["metrics", "off"])
+    def test_below_full_binds_the_methods_themselves(self, tier):
+        stack, user, provider = self.control(tier)
+        assert user.below.ask == provider.srv_ask
+        assert provider.notifications["event"].fire == user.nf_event
+        assert user.below.ask(1) == 2
+        provider.notify("event", 7)
+        assert provider.state.asked is None  # no acting_as entered
+        assert user.state.heard == (7, None)
+        assert stack.interface_log.records == []
+
+    def test_full_logs_and_switches_actor(self):
+        stack, user, provider = self.control("full")
+        assert user.below.ask(1) == 2
+        provider.notify("event", 7)
+        assert provider.state.asked == "provider"
+        assert user.state.heard == (7, "user")
+        assert stack.interface_log.pairs() == {
+            ("user", "provider"),
+            ("provider", "user"),
+        }
+
+    def test_set_tier_rebinds_both_ways(self):
+        stack, user, provider = self.control("full")
+        stack.set_tier("off")
+        assert user.below.ask == provider.srv_ask
+        user.below.ask(1)
+        assert stack.interface_log.crossings() == 0
+        stack.set_tier("full")
+        user.below.ask(1)
+        provider.notify("event", 2)
+        assert stack.interface_log.crossings() == 2
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_undeclared_primitive_rejected_at_every_tier(self, tier):
+        _, user, _ = self.control(tier)
+        with pytest.raises(ConfigurationError, match="no primitive 'tell'"):
+            user.below.tell(1)
 
 
 class TestSublayerIndex:

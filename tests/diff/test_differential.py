@@ -5,10 +5,11 @@ the architecture under them is the same — same sublayers, same headers,
 same virtual-time behaviour.  The ``full`` tier's instrumented chain
 walk is the reference; the cheaper hops the wiring plan compiles for
 ``metrics`` and ``off`` are the fast paths.  This rig runs each shipped
-profile (hdlc, hdlc with deterministic faults inserted, wireless, tcp,
-quic) under a seeded workload at every tier and requires its observable
-books to equal the reference run's: delivered bytes, every sublayer's
-``state.snapshot()``, and the metrics registry snapshot.  At ``full``
+profile (hdlc, hdlc with deterministic faults inserted, wireless, the
+Fig 4 router, tcp, quic) under a seeded workload at every tier and
+requires its observable books to equal the reference run's: delivered
+bytes, every sublayer's ``state.snapshot()``, and the metrics registry
+snapshot.  At ``full``
 the comparison is a fresh rerun, so it also checks determinism.
 """
 
@@ -156,6 +157,52 @@ def run_wireless(tier):
 def test_wireless_fast_paths_match_chain_walk(tier):
     baseline = matches_reference(run_wireless, tier)
     assert any(baseline["delivered"][i] for i in (1, 2))
+
+
+# ----------------------------------------------------------------------
+# router (the Fig 4 network sublayers over a lossy mesh)
+# ----------------------------------------------------------------------
+MESH = [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3), (2, 5), (5, 6), (6, 3)]
+
+
+def run_router(tier):
+    from repro.network import Topology
+
+    sim = Simulator()
+    metrics = MetricsRegistry()
+    topo = Topology.build(
+        sim,
+        MESH,
+        seed=9,
+        link_config=LinkConfig(delay=0.005, loss=0.02),
+        metrics=metrics,
+    )
+    for router in topo.routers.values():
+        router.stack.set_tier(tier)
+    topo.start()
+    converged = [topo.converge(timeout=30)]
+    for dst in (4, 5, 6):
+        topo.send_data(1, dst, f"before->{dst}".encode())
+    sim.run(until=sim.now + 2)
+    topo.fail_link(2, 5)
+    converged.append(topo.converge(timeout=90))
+    for dst in (4, 5, 6):
+        topo.send_data(1, dst, f"after->{dst}".encode())
+    sim.run(until=sim.now + 2)
+    delivered = [(p.src, p.dst, p.ttl, p.payload) for p in topo.delivered]
+    stacks = [router.stack for router in topo.routers.values()]
+    run = books(stacks, delivered, metrics)
+    run.update(converged=converged, fibs=topo.fib_snapshots())
+    return run
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_router_fast_paths_match_chain_walk(tier):
+    baseline = matches_reference(run_router, tier)
+    assert None not in baseline["converged"]
+    payloads = {payload for *_, payload in baseline["delivered"]}
+    assert {b"before->5", b"after->5"} <= payloads  # rerouted around 2-5
+    assert baseline["metrics"]["counters"]["forwarding/1/forwarded"] == 6
 
 
 # ----------------------------------------------------------------------

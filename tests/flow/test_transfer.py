@@ -16,8 +16,8 @@ from repro.flow.transfer import (
     NodeTransfer,
     build_transfers,
 )
-from repro.network.forwarding import ForwardingSublayer
 from repro.network.packets import DataPacket
+from tests.network.helpers import forwarding_stack
 
 SPEC = FlowSpec.from_dict(
     {
@@ -34,14 +34,9 @@ def concrete_fate(packet: DataPacket) -> tuple[str, int | None, int | None]:
     """(fate, next_hop, out_ttl) from a real ForwardingSublayer."""
     sent: list[tuple[int, DataPacket]] = []
     interfaces = {2: 0, 3: 1}  # next_hop -> interface, 4 unresolvable
-    sublayer = ForwardingSublayer(
-        address=1,
-        send_on_interface=lambda i, p: sent.append((i, p)),
-        resolve_interface=lambda nh: interfaces.get(nh),
-    )
-    sublayer.install({2: 2, 3: 3, 4: 4})
     delivered: list[DataPacket] = []
-    sublayer.on_deliver = delivered.append
+    sublayer = forwarding_stack(1, interfaces, sent, delivered)
+    sublayer.nf_routes({2: 2, 3: 3, 4: 4})
     sublayer.forward(packet)
     if delivered:
         return ("delivered", None, None)

@@ -4,23 +4,18 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.instrument import AccessLog
+from repro.core.litmus import WireTap, run_litmus
 from repro.network import DataPacket, DistanceVector, Router, Topology
-from repro.network.forwarding import ForwardingSublayer
 from repro.network.packets import DvUpdate, Hello, IP_HEADER, Lsp
 from repro.sim import Simulator
+from tests.network.helpers import forwarding_stack
 
 
 def make_forwarding(address=1, fib=None, interfaces=None):
     sent = []
-    interfaces = interfaces or {2: 0, 3: 1}
-    fwd = ForwardingSublayer(
-        address,
-        send_on_interface=lambda i, p: sent.append((i, p)),
-        resolve_interface=lambda hop: interfaces.get(hop),
-    )
-    fwd.install(fib or {})
     delivered = []
-    fwd.on_deliver = delivered.append
+    fwd = forwarding_stack(address, interfaces or {2: 0, 3: 1}, sent, delivered)
+    fwd.nf_routes(fib or {})
     return fwd, sent, delivered
 
 
@@ -88,7 +83,7 @@ class TestForwarding:
 
     def test_install_replaces_fib(self):
         fwd, _, _ = make_forwarding(fib={5: 2})
-        fwd.install({6: 3})
+        fwd.nf_routes({6: 3})
         assert fwd.fib() == {6: 3}
 
 
@@ -160,3 +155,38 @@ class TestT3StateSeparation:
         assert ("routing", "forwarding") in pairs
         # no interface skips a sublayer
         assert ("neighbor", "forwarding") not in pairs
+        assert ("forwarding", "neighbor") not in pairs
+
+
+class TestRouterLitmus:
+    def test_router_stacks_pass_t1_to_t3(self):
+        """The router is a Stack, so the shared litmus checker covers it:
+        converge, fail a link, reconverge, and every interaction stays
+        adjacent, narrow, and attributed to its owner."""
+        sim = Simulator()
+        topo = Topology.build(sim, [(1, 2), (2, 3), (3, 1)])
+        r1, r2 = topo.routers[1], topo.routers[2]
+        wire = WireTap(r1.stack, r2.stack)
+        topo.start()
+        assert topo.converge(timeout=30) is not None
+        topo.send_data(1, 2, b"x")
+        topo.fail_link(1, 2)
+        assert topo.converge(timeout=90) is not None
+        topo.send_data(1, 2, b"y")
+        sim.run(until=sim.now + 2)
+        assert [p.payload for p in topo.delivered] == [b"x", b"y"]
+
+        report = run_litmus(r1.stack, r2.stack, wire)
+        assert [r.name for r in report.results] == ["T1", "T2", "T3"]
+        report.require()
+        assert wire.pdus  # hellos, LSPs and data all crossed the tap
+        # forwarding's next-hop lookup crosses each interface in turn
+        lookups = {
+            (r.interface, r.caller, r.provider)
+            for r in r1.interface_log.records
+            if r.primitive == "interface_for"
+        }
+        assert lookups == {
+            ("routing-service", "forwarding", "routing"),
+            ("neighbor-service", "routing", "neighbor"),
+        }

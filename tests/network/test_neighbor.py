@@ -1,24 +1,30 @@
 """Tests for the neighbor-determination sublayer."""
 
 from repro.core.clock import ManualClock
+from repro.core.stack import Stack
 from repro.network.neighbor import NeighborSublayer
 from repro.network.packets import Hello
 
 
 def make_neighbor(interfaces=2, hello=1.0, dead=3.5):
+    """The sublayer alone in a stack; the test plays wire and routing."""
     clock = ManualClock()
     sent = []
     sub = NeighborSublayer(
         address=1,
-        clock=clock,
-        send_on_interface=lambda i, h: sent.append((i, h)),
         interface_count=interfaces,
         hello_interval=hello,
         dead_interval=dead,
     )
+    stack = Stack("router:1", [sub], clock=clock)
+    stack.on_transmit = lambda h, interface: sent.append((interface, h))
     events = []
-    sub.on_neighbor_up = lambda a, i, c: events.append(("up", a, i))
-    sub.on_neighbor_down = lambda a: events.append(("down", a))
+    sub.notifications["neighbor_up"].connect(
+        "routing", lambda a, i, c: events.append(("up", a, i))
+    )
+    sub.notifications["neighbor_down"].connect(
+        "routing", lambda a: events.append(("down", a))
+    )
     return clock, sub, sent, events
 
 
@@ -58,8 +64,8 @@ class TestDiscovery:
     def test_interface_lookup(self):
         clock, sub, _, _ = make_neighbor()
         sub.on_hello(1, Hello(src=9))
-        assert sub.interface_for(9) == 1
-        assert sub.interface_for(99) is None
+        assert sub.srv_interface_for(9) == 1
+        assert sub.srv_interface_for(99) is None
 
     def test_multiple_neighbors(self):
         clock, sub, _, _ = make_neighbor()
